@@ -8,7 +8,7 @@ it, because SLA's bounded [0, 1] range is less sensitive to RT outliers.
 Features are z-normalized with training statistics; prediction is the
 (optionally inverse-distance weighted) mean of the K nearest targets.
 Queries are vectorized: one (n_query, n_train) distance matrix per call,
-chunked to bound memory.
+chunked to bound memory, over the bitwise-distinct query rows only.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class KNNRegressor:
         ``"uniform"`` averages the K targets; ``"distance"`` weights by
         inverse distance (exact matches dominate).
     chunk_size:
-        Query rows per distance-matrix block.
+        Distinct query rows per distance-matrix block.
     """
 
     k: int = 4
@@ -43,6 +43,12 @@ class KNNRegressor:
     chunk_size: int = 1024
     _X: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _y: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    # Constants of the distance kernel: the training matrix transposed
+    # (contiguous, for the per-row matrix-vector products) and its
+    # squared row norms.
+    _x_t: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _x_sq: Optional[np.ndarray] = field(default=None, init=False,
+                                        repr=False)
     _scaler: Standardizer = field(default_factory=Standardizer, init=False,
                                   repr=False)
 
@@ -65,6 +71,8 @@ class KNNRegressor:
             raise ValueError("cannot fit on zero samples")
         self._X = self._scaler.fit_transform(X)
         self._y = y
+        self._x_t = np.ascontiguousarray(self._X.T)
+        self._x_sq = np.sum(self._X ** 2, axis=1)
         return self
 
     @property
@@ -78,15 +86,29 @@ class KNNRegressor:
         if Q.shape[1] != self._X.shape[1]:
             raise ValueError(
                 f"expected {self._X.shape[1]} features, got {Q.shape[1]}")
-        Q = self._scaler.transform(Q)
+        # Every host that can fit a VM grants it the same resources, so a
+        # placement matrix repeats rows heavily: predict each bitwise-
+        # distinct row once and scatter the results back.
+        Q = np.ascontiguousarray(Q)
+        keys = Q.view(np.dtype((np.void, Q.itemsize * Q.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        return self._predict_scaled(self._scaler.transform(Q[first]))[inverse]
+
+    def _predict_scaled(self, Q: np.ndarray) -> np.ndarray:
         k = min(self.k, self.n_train)
         out = np.empty(Q.shape[0])
         for start in range(0, Q.shape[0], self.chunk_size):
             block = Q[start:start + self.chunk_size]
-            # ||q - x||^2 = ||q||^2 - 2 q.x + ||x||^2, vectorized.
-            d2 = (np.sum(block ** 2, axis=1)[:, None]
-                  - 2.0 * block @ self._X.T
-                  + np.sum(self._X ** 2, axis=1)[None, :])
+            # ||q - x||^2 = ||q||^2 - 2 q.x + ||x||^2, built in place in
+            # one (n_query, n_train) buffer.  The stacked product runs one
+            # matrix-vector product per query row, so a row's distances do
+            # not depend on the rows it is blocked with (a blocked gemm
+            # rounds a row differently from block to block).
+            d2 = (block[:, None, :] @ self._x_t)[:, 0]
+            d2 *= -2.0
+            d2 += np.sum(block ** 2, axis=1)[:, None]
+            d2 += self._x_sq
             np.maximum(d2, 0.0, out=d2)
             nn = np.argpartition(d2, k - 1, axis=1)[:, :k]
             rows = np.arange(block.shape[0])[:, None]

@@ -22,7 +22,9 @@ This is a from-scratch reimplementation of the M5 algorithm family
 M = 2 (network in/out).
 
 Split search is vectorized per feature with prefix-sum variance
-computations, so growing is O(d · n log n) per node.
+computations, so growing is O(d · n log n) per node.  Prediction routes
+the whole query matrix down the tree with boolean masks, one linear-model
+evaluation per visited node, bit-identical to walking each row alone.
 """
 
 from __future__ import annotations
@@ -61,6 +63,18 @@ class _Node:
 
 def _sd(y: np.ndarray) -> float:
     return float(y.std()) if y.size else 0.0
+
+
+def _rowwise(model: LinearRegression, X: np.ndarray) -> np.ndarray:
+    """``model`` on every row of ``X``, each row as its own dot product.
+
+    The stacked ``(n, 1, d) @ (d,)`` product runs one length-``d`` dot per
+    row, the same kernel a one-row ``LinearRegression.predict_one`` uses,
+    so a row's prediction does not depend on the other rows it arrives
+    with.  A plain ``X @ coef_`` goes through BLAS gemv, whose blocked
+    accumulation differs from the per-row dot in the last bits.
+    """
+    return (X[:, None, :] @ model.coef_)[:, 0] + model.intercept_
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int
@@ -229,42 +243,43 @@ class M5PRegressor:
             node.make_leaf()
 
     # -- prediction ------------------------------------------------------------
-    def _predict_one(self, x: np.ndarray) -> float:
-        path: List[_Node] = []
-        node = self._root
-        while True:
-            path.append(node)
-            if node.is_leaf:
-                break
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        pred = node.model.predict_one(x)
-        if self.smoothing_k > 0:
-            # Blend back up: each ancestor pulls the prediction toward its
-            # own model, weighted by the child subtree size.
-            for i in range(len(path) - 2, -1, -1):
-                parent, child = path[i], path[i + 1]
-                q = parent.model.predict_one(x)
-                pred = (child.n * pred + self.smoothing_k * q) / (
-                    child.n + self.smoothing_k)
-        return pred
-
     def predict(self, X) -> np.ndarray:
+        """Route the whole matrix down the tree, one boolean mask per split.
+
+        Each node evaluates its linear model once on the rows routed to
+        it, and smoothing blends child and parent predictions elementwise
+        on the way back up, so every row gets exactly the arithmetic of
+        the textbook per-row descent (bit for bit).
+        """
         if self._root is None:
             raise RuntimeError("model not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self._n_features:
             raise ValueError(
                 f"expected {self._n_features} features, got {X.shape[1]}")
-        return np.array([self._predict_one(x) for x in X])
+        return self._predict_rows(self._root, X)
+
+    def _predict_rows(self, node: _Node, X: np.ndarray) -> np.ndarray:
+        if node.is_leaf:
+            return _rowwise(node.model, X)
+        go_left = X[:, node.feature] <= node.threshold
+        k = self.smoothing_k
+        # The parent's own model, which smoothing blends into the child's
+        # prediction: p' = (n_child * p + k * q) / (n_child + k).
+        q = _rowwise(node.model, X) if k > 0 else None
+        out = np.empty(X.shape[0])
+        for child, rows in ((node.left, go_left), (node.right, ~go_left)):
+            if not rows.any():
+                continue
+            pred = self._predict_rows(child, X[rows])
+            if k > 0:
+                pred = (child.n * pred + k * q[rows]) / (child.n + k)
+            out[rows] = pred
+        return out
 
     def predict_one(self, x) -> float:
-        if self._root is None:
-            raise RuntimeError("model not fitted")
         x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self._n_features:
-            raise ValueError(
-                f"expected {self._n_features} features, got {x.shape[0]}")
-        return float(self._predict_one(x))
+        return float(self.predict(x[None, :])[0])
 
     # -- introspection ------------------------------------------------------------
     @property

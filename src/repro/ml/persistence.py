@@ -16,8 +16,9 @@ from .predictors import ModelSet
 
 __all__ = ["save_model_set", "load_model_set", "FORMAT_VERSION"]
 
-#: Bumped whenever the pickled layout changes incompatibly.
-FORMAT_VERSION = 1
+#: Bumped whenever the pickled layout changes incompatibly (2: k-NN
+#: models carry their distance-kernel constants).
+FORMAT_VERSION = 2
 
 _MAGIC = "repro-modelset"
 

@@ -136,16 +136,16 @@ class TestValidation:
             M5PRegressor(**kwargs)
 
     def test_unfitted_predict(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="not fitted"):
             M5PRegressor().predict([[1.0]])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="not fitted"):
             M5PRegressor().predict_one([1.0])
 
     def test_feature_count_checked(self):
         model = M5PRegressor().fit(np.ones((10, 2)), np.ones(10))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 2 features, got 3"):
             model.predict(np.ones((2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 2 features, got 1"):
             model.predict_one([1.0])
 
     def test_empty_fit(self):
