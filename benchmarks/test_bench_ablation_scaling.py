@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.bestfit import build_problem, descending_best_fit
+from repro.core.bestfit import descending_best_fit
 from repro.core.estimators import OracleEstimator
 from repro.core.hierarchical import HierarchicalScheduler
 from repro.core.model import SchedulingProblem, VMRequest, HostView

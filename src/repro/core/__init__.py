@@ -10,8 +10,8 @@
 * :mod:`~repro.core.policies` — ready-made scheduler presets.
 """
 
-from .bestfit import (BestFitResult, SchedulingRound, build_problem,
-                      descending_best_fit, make_bestfit_scheduler)
+from .bestfit import (BestFitResult, SchedulingRound, descending_best_fit,
+                      make_bestfit_scheduler)
 from .estimators import (Estimator, MLEstimator, ObservedEstimator,
                          OracleEstimator)
 from .exact import ExactResult, exact_schedule
@@ -19,8 +19,7 @@ from .hierarchical import HierarchicalScheduler, RoundDiagnostics
 from .model import (BatchEvaluation, HostBatch, HostView, ObjectiveWeights,
                     PlacementEvaluation, RoundScorer, SchedulingProblem,
                     ScheduleViolation, VMRequest, check_schedule,
-                    evaluate_candidates, evaluate_schedule,
-                    placement_profit, score_candidates)
+                    evaluate_schedule, placement_profit)
 from .online import OnlineLearningScheduler
 from .policies import (bf_ml_scheduler, bf_overbook_scheduler, bf_scheduler,
                        exact_scheduler, follow_the_load_scheduler,
@@ -31,16 +30,15 @@ from .profit import (PriceBook, ProfitBreakdown, energy_cost_eur,
 from .sla import PAPER_SLA, SLAContract, sla_fulfillment, weighted_sla
 
 __all__ = [
-    "BestFitResult", "SchedulingRound", "build_problem",
-    "descending_best_fit", "make_bestfit_scheduler",
+    "BestFitResult", "SchedulingRound", "descending_best_fit", "make_bestfit_scheduler",
     "Estimator", "MLEstimator", "ObservedEstimator", "OracleEstimator",
     "ExactResult", "exact_schedule",
     "HierarchicalScheduler", "RoundDiagnostics",
     "BatchEvaluation", "HostBatch", "HostView", "ObjectiveWeights",
     "PlacementEvaluation", "RoundScorer", "SchedulingProblem",
     "ScheduleViolation",
-    "VMRequest", "check_schedule", "evaluate_candidates",
-    "evaluate_schedule", "placement_profit", "score_candidates",
+    "VMRequest", "check_schedule", "evaluate_schedule",
+    "placement_profit",
     "OnlineLearningScheduler",
     "bf_ml_scheduler", "bf_overbook_scheduler", "bf_scheduler",
     "exact_scheduler",

@@ -14,15 +14,18 @@ Three variants reproduce the paper's intra-DC comparison (Figure 4):
 * **BF-ML** — the learned models predict requirements and SLA for tentative
   placements (:class:`~repro.core.estimators.MLEstimator`).
 
-:func:`build_problem` snapshots a :class:`~repro.sim.multidc.MultiDCSystem`
-into a :class:`~repro.core.model.SchedulingProblem`;
+:class:`SchedulingRound` snapshots a
+:class:`~repro.sim.multidc.MultiDCSystem` once per round and builds every
+:class:`~repro.core.model.SchedulingProblem` of that round;
+:func:`descending_best_fit` packs any problem, and
 :func:`make_bestfit_scheduler` adapts the whole pipeline to the engine's
-scheduler callable.
+scheduler callable.  Every path packs with :func:`_pack_batch` over a
+:class:`~repro.core.model.RoundScorer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -34,12 +37,12 @@ from ..sim.fleet import FleetState
 from ..sim.multidc import MultiDCSystem
 from ..sim.machines import Resources
 from ..workload.traces import WorkloadTrace
-from .estimators import Estimator, MLEstimator, ObservedEstimator
+from .estimators import Estimator, ObservedEstimator
 from .model import (BatchEvaluation, HostBatch, HostView, ObjectiveWeights,
                     PlacementEvaluation, RoundScorer, SchedulingProblem,
-                    VMRequest, evaluate_candidates, placement_profit)
+                    VMRequest)
 
-__all__ = ["descending_best_fit", "build_problem", "SchedulingRound",
+__all__ = ["descending_best_fit", "SchedulingRound",
            "make_bestfit_scheduler", "BestFitResult"]
 
 
@@ -57,8 +60,7 @@ class BestFitResult:
 
 
 def descending_best_fit(problem: SchedulingProblem,
-                        min_gain_eur: float = 0.0,
-                        batch: bool = True) -> BestFitResult:
+                        min_gain_eur: float = 0.0) -> BestFitResult:
     """Algorithm 1: order VMs by demand, best-profit host for each.
 
     The VM's current host (when present among candidates) is the baseline;
@@ -67,12 +69,32 @@ def descending_best_fit(problem: SchedulingProblem,
     the profit already discourages churn, the explicit margin guards
     against noise-driven flapping).
 
-    With ``batch`` (the default) each VM is scored against all hosts in one
-    vectorized :func:`~repro.core.model.evaluate_candidates` call over an
-    incrementally updated :class:`~repro.core.model.HostBatch`; committing
-    a VM refreshes only the chosen host's column.  ``batch=False`` runs the
-    scalar reference loop — both produce the same assignments (the golden
-    and differential tests pin this down).
+    Demands come from the estimator's scalar ``required_resources`` on
+    each request's aggregate load; :meth:`SchedulingRound.pack` is the
+    same packing with the round's batched estimates.  The problem is
+    never mutated.
+    """
+    est = problem.estimator
+
+    def required_of(requests):
+        # get_data / get_required_resources for every VM first.  Demands
+        # are deliberately uncapped: overload must be visible as demand
+        # exceeding any host, not silently truncated.
+        return {r.vm_id: est.required_resources(r.vm, r.aggregate_load,
+                                                float("inf"))
+                for r in requests}
+
+    return _best_fit(problem, min_gain_eur, required_of, {})
+
+
+def _best_fit(problem: SchedulingProblem, min_gain_eur: float,
+              required_of: Callable[[Sequence[VMRequest]],
+                                    Mapping[str, Resources]],
+              aggs: Mapping[str, LoadVector]) -> BestFitResult:
+    """Descending Best-Fit over one problem with a fresh :class:`RoundScorer`.
+
+    ``required_of`` maps the problem's requests to their demand estimates
+    and ``aggs`` may supply precomputed aggregate loads per VM.
     """
     if not problem.hosts:
         # An empty shard (zero-PM DC, or every host failed) with nothing
@@ -81,31 +103,22 @@ def descending_best_fit(problem: SchedulingProblem,
         if not problem.requests:
             return BestFitResult(assignment={}, evaluations={}, order=[])
         raise ValueError("no candidate hosts")
-    # Pack into copies: scoring a round must not mutate the problem.
-    hosts = [HostView(pm_id=h.pm_id, location=h.location,
-                      capacity=h.capacity, power_model=h.power_model,
-                      energy_price_eur_kwh=h.energy_price_eur_kwh,
-                      initially_on=h.initially_on,
-                      committed=dict(h.committed),
-                      committed_used_cpu=dict(h.committed_used_cpu))
-             for h in problem.hosts]
-    est = problem.estimator
-    # get_data / get_required_resources for every VM first.  Demands are
-    # deliberately uncapped: overload must be visible as demand exceeding
-    # any host, not silently truncated.
-    required = {
-        r.vm_id: est.required_resources(r.vm, r.aggregate_load,
-                                        float("inf"))
-        for r in problem.requests}
+    # The scorer's commits are array-native (batch columns only), so the
+    # problem's host views are never mutated.
+    host_batch = HostBatch(problem.hosts)
+    scorer = RoundScorer(problem, host_batch)
+    required = required_of(problem.requests)
     # order_by_demand(vms, desc): dominant share against the largest host.
-    ref = max(hosts, key=lambda h: h.capacity.cpu).capacity
+    ref = max(problem.hosts, key=lambda h: h.capacity.cpu).capacity
     order = sorted(problem.requests,
                    key=lambda r: required[r.vm_id].dominant_share(ref),
                    reverse=True)
-    if batch:
-        return _best_fit_batch(problem, order, required, hosts,
-                               min_gain_eur)
-    return _best_fit_scalar(problem, order, required, hosts, min_gain_eur)
+
+    def evaluate(request, req):
+        return scorer.evaluate(request, req, agg=aggs.get(request.vm_id))
+
+    return _pack_batch(order, required, host_batch, min_gain_eur,
+                       evaluate, scorer.commit)
 
 
 def _pack_batch(order: Sequence[VMRequest],
@@ -115,15 +128,18 @@ def _pack_batch(order: Sequence[VMRequest],
                 evaluate: Callable[[VMRequest, Resources], "BatchEvaluation"],
                 commit: Callable[[int, str, Resources, float], None]
                 ) -> BestFitResult:
-    """The batch packing loop: one score vector + argmax per VM.
+    """The packing loop: one score vector + argmax per VM.
 
-    Reproduces the scalar loop's selection rule exactly: the running
-    strict-``>`` maximum is the *first* host attaining the best score (ties
-    keep the earlier host, as ``np.argmax`` does), and with a current host
-    present the best challenger wins only when it beats the stay-put
-    baseline by ``min_gain_eur``.  ``evaluate`` and ``commit`` plug in the
-    scorer: :func:`evaluate_candidates` over the batch (the default path)
-    or a :class:`~repro.core.model.RoundScorer` (the round-snapshot path).
+    Reproduces the textbook per-host loop's selection rule exactly (the
+    scalar reference is ``tests/core/bestfit_oracle.py``): the running
+    strict-``>`` maximum is the *first* host attaining the best score
+    (ties keep the earlier host, as ``np.argmax`` does), and with a
+    current host present the best challenger wins only when it beats the
+    stay-put baseline by ``min_gain_eur``.  ``evaluate`` and ``commit``
+    plug in the scorer: a :class:`~repro.core.model.RoundScorer`'s
+    :meth:`~repro.core.model.RoundScorer.evaluate` and ``commit`` when
+    packing a problem, or its ``evaluate_released`` and a no-op for
+    per-VM queries.
     """
     assignment: Dict[str, str] = {}
     evaluations: Dict[str, PlacementEvaluation] = {}
@@ -161,137 +177,13 @@ def _pack_batch(order: Sequence[VMRequest],
                          order=[r.vm_id for r in order])
 
 
-def _best_fit_batch(problem: SchedulingProblem,
-                    order: Sequence[VMRequest],
-                    required: Mapping[str, Resources],
-                    hosts: List[HostView],
-                    min_gain_eur: float) -> BestFitResult:
-    """Vectorized packing via :func:`evaluate_candidates` over a batch."""
-    host_batch = HostBatch.of(hosts)
-
-    def evaluate(request, req):
-        return evaluate_candidates(problem, request, host_batch,
-                                   required=req)
-
-    return _pack_batch(order, required, host_batch, min_gain_eur,
-                       evaluate, host_batch.commit)
-
-
-def _best_fit_scalar(problem: SchedulingProblem,
-                     order: Sequence[VMRequest],
-                     required: Mapping[str, Resources],
-                     hosts: List[HostView],
-                     min_gain_eur: float) -> BestFitResult:
-    """Reference packing loop: one scalar ``placement_profit`` per host."""
-    assignment: Dict[str, str] = {}
-    evaluations: Dict[str, PlacementEvaluation] = {}
-    for request in order:
-        req = required[request.vm_id]
-        best_host: Optional[HostView] = None
-        best_ev: Optional[PlacementEvaluation] = None
-        baseline = -np.inf
-        # Baseline: staying put (when the current host is a candidate).
-        if request.current_pm is not None:
-            for host in hosts:
-                if host.pm_id == request.current_pm:
-                    ev = placement_profit(problem, request, host, required=req)
-                    best_host, best_ev, baseline = host, ev, ev.profit_eur
-                    break
-        for host in hosts:
-            if request.current_pm is not None and host.pm_id == request.current_pm:
-                continue
-            ev = placement_profit(problem, request, host, required=req)
-            threshold = (baseline + min_gain_eur
-                         if best_ev is not None else -np.inf)
-            current_best = (best_ev.profit_eur
-                            if best_ev is not None else -np.inf)
-            if ev.profit_eur > max(threshold, current_best):
-                best_host, best_ev = host, ev
-        if best_host is None or best_ev is None:
-            raise RuntimeError(
-                f"no feasible host for VM {request.vm_id!r}")
-        best_host.commit(request.vm_id, best_ev.required, best_ev.used_cpu)
-        assignment[request.vm_id] = best_host.pm_id
-        evaluations[request.vm_id] = best_ev
-    return BestFitResult(assignment=assignment, evaluations=evaluations,
-                         order=[r.vm_id for r in order])
-
-
-def build_problem(system: MultiDCSystem, trace: WorkloadTrace, t: int,
-                  estimator: Estimator,
-                  scope_vms: Optional[Sequence[str]] = None,
-                  scope_pms: Optional[Sequence[str]] = None,
-                  weights: Optional[ObjectiveWeights] = None,
-                  queue_lens: Optional[Mapping[str, float]] = None,
-                  loads_override: Optional[Mapping[str, Mapping[str, object]]] = None
-                  ) -> SchedulingProblem:
-    """Snapshot one scheduling round from live system state.
-
-    ``scope_vms`` limits which VMs are rescheduled (default: all placed
-    VMs); ``scope_pms`` limits candidate hosts (default: every PM).  VMs in
-    scope are released from the host views; out-of-scope VMs stay committed
-    and constrain free capacity — this is the narrow interface the
-    hierarchical scheduler builds on.
-
-    VMs without any trace series (and no ``loads_override`` entry) are
-    skipped, exactly like both stepping paths skip them: an untraced VM has
-    no load to plan for, so it stays put and keeps constraining the host
-    views as an out-of-scope resident.
-    """
-    placement = system.placement()
-    # Default scope is *all* VMs, not just placed ones: orphans from host
-    # failures must be re-placed on the next round.
-    vm_ids = (list(scope_vms) if scope_vms is not None
-              else sorted(system.vms))
-    vm_ids = [vm_id for vm_id in vm_ids
-              if trace.has_vm(vm_id)
-              or (loads_override is not None and vm_id in loads_override)]
-    queue_lens = queue_lens or {}
-    requests: List[VMRequest] = []
-    for vm_id in vm_ids:
-        vm = system.vms[vm_id]
-        pm_id = placement.get(vm_id)
-        if loads_override is not None and vm_id in loads_override:
-            loads = dict(loads_override[vm_id])
-        else:
-            loads = trace.load_at(vm_id, t)
-        requests.append(VMRequest(
-            vm=vm, contract=system.contracts[vm_id],
-            loads=loads,
-            current_pm=pm_id,
-            current_location=(system.dc_of_pm(pm_id).location
-                              if pm_id else None),
-            queue_len=float(queue_lens.get(vm_id, 0.0))))
-    scope = set(vm_ids)
-    hosts: List[HostView] = []
-    wanted = set(scope_pms) if scope_pms is not None else None
-    for dc in system.datacenters:
-        for pm in dc.pms:
-            if wanted is not None and pm.pm_id not in wanted:
-                continue
-            if pm.failed:
-                continue
-            hosts.append(HostView.of(pm, dc.location,
-                                     dc.energy_price_eur_kwh,
-                                     exclude_vms=tuple(scope),
-                                     demands=system.last_demands))
-    return SchedulingProblem(
-        requests=requests, hosts=hosts, network=system.network,
-        prices=system.prices, estimator=estimator,
-        interval_s=trace.interval_s,
-        weights=weights or ObjectiveWeights(),
-        auto_power_off=system.auto_power_off)
-
-
 class SchedulingRound:
     """Array-backed snapshot of one scheduling round (system, trace, t).
 
-    The fast twin of per-round :func:`build_problem`.  Where the reference
-    re-materializes every :class:`VMRequest` and :class:`HostView` from
-    live Python objects *per problem* — the hierarchical scheduler builds
-    one problem per DC plus a global one, each walking the whole system —
-    a ``SchedulingRound`` snapshots the round once, straight from the
-    arrays the stepping path already has:
+    The one problem builder.  The hierarchical scheduler builds one
+    problem per DC plus a global one; a ``SchedulingRound`` snapshots the
+    round once, straight from the arrays the stepping path already has,
+    and every problem of the round is a cheap sub-view of it:
 
     * requests are built from the cached
       :class:`~repro.sim.fleet.FleetState` (per-source loads and
@@ -300,19 +192,17 @@ class SchedulingRound:
     * host views are sliced from a per-round base (one walk over the live
       PMs), releasing only the VMs in each problem's scope;
     * per-VM demand estimates come from one vectorized
-      ``required_resources_batch`` call when the estimator supports it;
+      ``required_resources_batch`` call;
     * packing runs the shared loop over a
       :class:`~repro.core.model.RoundScorer`, which hoists latency,
       migration and power lookups to problem scope.
 
-    The object-walking :func:`build_problem` + :func:`descending_best_fit`
-    pair stays as the executable reference: for any scope,
-    :meth:`problem` materializes the same :class:`SchedulingProblem` (same
-    requests, same host views) and :meth:`best_fit` returns identical
-    assignments with evaluations equal within 1e-9 (bit-equal in
-    practice; ``tests/core/test_round_snapshot.py`` pins both).
-    Estimators without the batch interface transparently fall back to the
-    reference scorer.
+    The object-walking builder and the per-host scalar packing loop live
+    on as test oracles (``tests/core/bestfit_oracle.py``):
+    :meth:`problem` materializes the same :class:`SchedulingProblem` for
+    any scope, and :meth:`best_fit` returns the same assignments with
+    evaluations equal within 1e-9 (``tests/core/test_round_snapshot.py``
+    pins both).
     """
 
     def __init__(self, system: MultiDCSystem, trace: WorkloadTrace, t: int,
@@ -320,22 +210,7 @@ class SchedulingRound:
                  weights: Optional[ObjectiveWeights] = None,
                  queue_lens: Optional[Mapping[str, float]] = None,
                  loads_override: Optional[Mapping[str, Mapping[str, object]]]
-                 = None,
-                 scope_pms: Optional[Sequence[str]] = None,
-                 batch_vms: Optional[Sequence[str]] = None) -> None:
-        """Snapshot one round.
-
-        ``scope_pms`` restricts the snapshot itself to those PMs: the host
-        base and the placement view only cover them, so construction is
-        O(scope) instead of O(fleet) — the shard-local round the sharded
-        hierarchical scheduler builds per DC.  A VM hosted outside the
-        scope appears unplaced to this round; callers must keep scoped
-        VM sets consistent (the hierarchical phases do by construction).
-        ``batch_vms`` limits the vectorized demand prefetch to those VMs
-        (demand estimation is elementwise, so restricting the batch
-        returns bit-identical per-VM values); others fall back to scalar
-        estimation on first use.
-        """
+                 = None) -> None:
         self.system = system
         self.trace = trace
         self.t = t
@@ -344,29 +219,14 @@ class SchedulingRound:
         self.queue_lens = dict(queue_lens) if queue_lens else {}
         self.loads_override = loads_override
         self.fleet = FleetState.for_system(system, trace)
-        self.scope_pms = (frozenset(scope_pms)
-                          if scope_pms is not None else None)
-        self._batch_vms = (frozenset(batch_vms)
-                           if batch_vms is not None else None)
-        if scope_pms is None:
-            self.placement = system.placement()
-        else:
-            placement: Dict[str, str] = {}
-            for pm_id in scope_pms:
-                pm = system.pm(pm_id)  # raises on unknown host
-                for vm_id in pm.vm_ids:
-                    placement[vm_id] = pm_id
-            self.placement = placement
+        self.placement = system.placement()
         # Per-round host base: one walk over the live PMs, committed
         # demands resolved exactly like HostView.of (last known demand,
         # falling back to the recorded grant).
         demands = system.last_demands
-        wanted = self.scope_pms
         self._host_base: List[tuple] = []
         for dc in system.datacenters:
             for pm in dc.pms:
-                if wanted is not None and pm.pm_id not in wanted:
-                    continue
                 if pm.failed:
                     continue
                 committed = []
@@ -382,7 +242,6 @@ class SchedulingRound:
         self._required: Dict[str, Resources] = {}
         self._required_batched = False
         # Shared nothing-released scorer for pack_each (built lazily).
-        self._base_ready = False
         self._base: Optional[Tuple[HostBatch, RoundScorer]] = None
 
     # -- request construction (once per round, shared across problems) -------
@@ -410,44 +269,34 @@ class SchedulingRound:
 
     def _required_for(self, requests: Sequence[VMRequest]
                       ) -> Dict[str, Resources]:
-        """Demand estimates for the given requests, batched when possible.
+        """Demand estimates for the given requests.
 
-        The vectorized path estimates every traced VM of the round in one
+        Every traced VM of the round is estimated in one
         ``required_resources_batch`` call (amortized over all problems);
-        VMs with overridden loads and estimators without the batch method
-        fall back to the scalar call on the same aggregate load.
+        VMs with overridden loads, and requests of a problem this round
+        did not build, take the scalar call on their aggregate load.
         """
         if not self._required_batched:
             self._required_batched = True
-            fn = getattr(self.estimator, "required_resources_batch", None)
-            if fn is not None:
-                fleet = self.fleet
-                overridden = (set(self.loads_override)
-                              if self.loads_override is not None else ())
-                hinted = self._batch_vms
-                vm_ids = [v for v in fleet.traced_ids
-                          if v not in overridden
-                          and (hinted is None or v in hinted)]
-                if vm_ids:
-                    rows = [fleet.vm_index[v] for v in vm_ids]
-                    rps, bpr, cpr = fleet.aggregate_columns(self.t)
-                    vms = [self.system.vms[v] for v in vm_ids]
-                    out = fn(vms, rps[rows], bpr[rows], cpr[rows],
-                             float("inf"))
-                    if out is not None:
-                        cpu, mem, bw = out
-                        for j, v in enumerate(vm_ids):
-                            self._required[v] = Resources(
-                                cpu=float(cpu[j]), mem=float(mem[j]),
-                                bw=float(bw[j]))
+            fleet = self.fleet
+            overridden = (set(self.loads_override)
+                          if self.loads_override is not None else ())
+            vm_ids = [v for v in fleet.traced_ids if v not in overridden]
+            if vm_ids:
+                rows = [fleet.vm_index[v] for v in vm_ids]
+                rps, bpr, cpr = fleet.aggregate_columns(self.t)
+                vms = [self.system.vms[v] for v in vm_ids]
+                cpu, mem, bw = self.estimator.required_resources_batch(
+                    vms, rps[rows], bpr[rows], cpr[rows], float("inf"))
+                for j, v in enumerate(vm_ids):
+                    self._required[v] = Resources(
+                        cpu=float(cpu[j]), mem=float(mem[j]),
+                        bw=float(bw[j]))
         required: Dict[str, Resources] = {}
         for request in requests:
             vm_id = request.vm_id
             req = self._required.get(vm_id)
             if req is None:
-                # Requests this round did not build (pack() accepts any
-                # problem) have no cached aggregate; derive it like the
-                # reference does.
                 agg = self._aggs.get(vm_id)
                 if agg is None:
                     agg = request.aggregate_load
@@ -461,12 +310,18 @@ class SchedulingRound:
     def problem(self, scope_vms: Optional[Sequence[str]] = None,
                 scope_pms: Optional[Sequence[str]] = None
                 ) -> SchedulingProblem:
-        """The same :class:`SchedulingProblem` :func:`build_problem` builds.
+        """One scheduling problem of this round.
 
-        Semantics match the reference exactly — default scope is all VMs,
-        untraced VMs without a loads override are skipped, failed PMs are
-        excluded, in-scope VMs are released from the host views — but
-        requests and host bases are reused across the round's problems.
+        ``scope_vms`` limits which VMs are rescheduled (default: every VM,
+        so orphans from host failures are re-placed); ``scope_pms`` limits
+        candidate hosts (default: every live PM).  VMs in scope are
+        released from the host views; out-of-scope VMs stay committed and
+        constrain free capacity — the narrow interface the hierarchical
+        scheduler builds on.  Failed PMs are never candidates.  VMs
+        without any trace series (and no loads override) are skipped,
+        exactly like stepping skips them: an untraced VM has no load to
+        plan for, so it stays put and keeps constraining its host as an
+        out-of-scope resident.
         """
         vm_ids = (list(scope_vms) if scope_vms is not None
                   else sorted(self.system.vms))
@@ -499,45 +354,15 @@ class SchedulingRound:
     # -- packing --------------------------------------------------------------
     def pack(self, problem: SchedulingProblem,
              min_gain_eur: float = 0.0) -> BestFitResult:
-        """Descending Best-Fit over a round problem via the fast scorer.
+        """Descending Best-Fit over a problem, with this round's estimates.
 
-        Same contract as :func:`descending_best_fit` (which remains the
-        reference, and the fallback for estimators without the batch
-        interface): the problem is never mutated, the VM order and the
-        selection rule are identical.
+        Same contract as :func:`descending_best_fit` — the problem is
+        never mutated, the VM order and the selection rule are identical —
+        but demands come from the round's batched estimates and aggregate
+        loads from its snapshot.
         """
-        if not problem.hosts:
-            # Mirror descending_best_fit: an empty shard with nothing to
-            # place is a clean no-op round.
-            if not problem.requests:
-                return BestFitResult(assignment={}, evaluations={},
-                                     order=[])
-            raise ValueError("no candidate hosts")
-        # No defensive host copies needed: the RoundScorer's commits are
-        # array-native (batch columns only), so the problem's host views
-        # are never mutated — and the fallback path copies internally.
-        # Probe the scorer before estimating demands, so the fallback
-        # does not pay for estimates the reference recomputes anyway.
-        host_batch = HostBatch.of(problem.hosts)
-        try:
-            scorer = RoundScorer(problem, host_batch)
-        except ValueError:
-            # Duck-typed estimator without the batch interface: the
-            # reference path loops scalars transparently.
-            return descending_best_fit(problem, min_gain_eur=min_gain_eur)
-        required = self._required_for(problem.requests)
-        ref = max(problem.hosts, key=lambda h: h.capacity.cpu).capacity
-        order = sorted(problem.requests,
-                       key=lambda r: required[r.vm_id].dominant_share(ref),
-                       reverse=True)
-        aggs = self._aggs
-
-        def evaluate(request, req):
-            return scorer.evaluate(request, req,
-                                   agg=aggs.get(request.vm_id))
-
-        return _pack_batch(order, required, host_batch, min_gain_eur,
-                           evaluate, scorer.commit)
+        return _best_fit(problem, min_gain_eur, self._required_for,
+                         self._aggs)
 
     def best_fit(self, scope_vms: Optional[Sequence[str]] = None,
                  scope_pms: Optional[Sequence[str]] = None,
@@ -547,22 +372,14 @@ class SchedulingRound:
                          min_gain_eur=min_gain_eur)
 
     # -- per-VM placement queries (the warm-serving entry point) --------------
-    def _base_scorer(self) -> Optional[Tuple[HostBatch, "RoundScorer"]]:
-        """The shared nothing-released (batch, scorer) pair, built once.
-
-        ``None`` when the estimator lacks the batch interface — callers
-        fall back to the per-problem reference path.
-        """
-        if not self._base_ready:
-            self._base_ready = True
+    def _base_scorer(self) -> Optional[Tuple[HostBatch, RoundScorer]]:
+        """The shared nothing-released (batch, scorer) pair, built once;
+        None while the round has no live host."""
+        if self._base is None:
             problem = self.problem(scope_vms=[])
             if problem.hosts:
-                host_batch = HostBatch.of(problem.hosts)
-                try:
-                    self._base = (host_batch,
-                                  RoundScorer(problem, host_batch))
-                except ValueError:
-                    self._base = None
+                host_batch = HostBatch(problem.hosts)
+                self._base = (host_batch, RoundScorer(problem, host_batch))
         return self._base
 
     def pack_each(self, vm_ids: Sequence[str],
@@ -583,10 +400,10 @@ class SchedulingRound:
         """
         base = self._base_scorer()
         if base is None:
-            # Estimator without the batch interface: reference path,
-            # one problem per query.
-            return {vm_id: self.pack(self.problem(scope_vms=[vm_id]),
-                                     min_gain_eur=min_gain_eur)
+            # No live host: each query gets its own problem's no-op
+            # result or "no candidate hosts" error.
+            return {vm_id: self.best_fit(scope_vms=[vm_id],
+                                         min_gain_eur=min_gain_eur)
                     for vm_id in vm_ids}
         host_batch, scorer = base
         traced = self.fleet.traced_set
@@ -621,19 +438,15 @@ def make_bestfit_scheduler(estimator: Estimator,
                            weights: Optional[ObjectiveWeights] = None,
                            min_gain_eur: float = 0.0,
                            scope_pms: Optional[Sequence[str]] = None,
-                           forecaster=None,
-                           use_round_snapshot: bool = True) -> Scheduler:
+                           forecaster=None) -> Scheduler:
     """Adapt Best-Fit over a fixed estimator to the engine's interface.
 
-    With a :class:`repro.workload.forecast.LoadForecaster`, the scheduler
-    plans round ``t`` on *forecast* load built only from completed
-    intervals (< t), instead of the harness default of handing it the
-    current interval's measured load.
-
-    ``use_round_snapshot`` (the default) builds each round through the
-    array-backed :class:`SchedulingRound`; ``False`` keeps the
-    object-walking :func:`build_problem` reference path.  Both produce
-    identical assignments (differential tests pin this).
+    Each round is one :class:`SchedulingRound` problem over ``scope_pms``
+    (default: every live PM).  With a
+    :class:`repro.workload.forecast.LoadForecaster`, the scheduler plans
+    round ``t`` on *forecast* load built only from completed intervals
+    (< t), instead of the harness default of handing it the current
+    interval's measured load.
     """
 
     def schedule(system: MultiDCSystem, trace: WorkloadTrace,
@@ -649,21 +462,12 @@ def make_bestfit_scheduler(estimator: Estimator,
                 forecaster.observe_interval(trace, forecaster.n_observed)
             loads_override = forecast_loads(forecaster, trace,
                                             vm_ids=sorted(system.vms))
-        if use_round_snapshot:
-            round_ = SchedulingRound(system, trace, t, estimator,
-                                     weights=weights,
-                                     loads_override=loads_override)
-            problem = round_.problem(scope_pms=scope_pms)
-            if not problem.requests:
-                return {}
-            return round_.pack(problem,
-                               min_gain_eur=min_gain_eur).assignment
-        problem = build_problem(system, trace, t, estimator,
-                                scope_pms=scope_pms, weights=weights,
-                                loads_override=loads_override)
+        round_ = SchedulingRound(system, trace, t, estimator,
+                                 weights=weights,
+                                 loads_override=loads_override)
+        problem = round_.problem(scope_pms=scope_pms)
         if not problem.requests:
             return {}
-        return descending_best_fit(problem,
-                                   min_gain_eur=min_gain_eur).assignment
+        return round_.pack(problem, min_gain_eur=min_gain_eur).assignment
 
     return schedule

@@ -19,12 +19,15 @@ the same small interface consumed by :mod:`repro.core.model`:
     Production-side outcome of a tentative grant (constraints 6.1, 7);
     ``process_rt`` may return None when the estimator can only score SLA
     directly (the paper's preferred k-NN path).
+
+Each method has a ``*_batch`` twin over many VMs or hosts at once, which
+is what the schedulers call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,46 +40,7 @@ from ..sim.rtmodel import ResponseTimeModel
 from .sla import SLAContract
 
 __all__ = ["Estimator", "OracleEstimator", "ObservedEstimator",
-           "MLEstimator", "scalar_process_rt_batch",
-           "scalar_process_sla_batch"]
-
-
-def scalar_process_rt_batch(est, vm: VirtualMachine, load: LoadVector,
-                            required: Resources, given_cpu, given_mem,
-                            given_bw,
-                            queue_len: float = 0.0) -> Optional[np.ndarray]:
-    """Per-host ``process_rt`` via the scalar method (the shared fallback).
-
-    Returns None as soon as the estimator declines an RT (direct-SLA
-    estimators), mirroring the scalar scorer's dispatch.
-    """
-    out = []
-    for gc, gm, gb in zip(np.asarray(given_cpu, dtype=float),
-                          np.asarray(given_mem, dtype=float),
-                          np.asarray(given_bw, dtype=float)):
-        rt = est.process_rt(vm, load, required,
-                            Resources(cpu=float(gc), mem=float(gm),
-                                      bw=float(gb)), queue_len=queue_len)
-        if rt is None:
-            return None
-        out.append(float(rt))
-    return np.asarray(out, dtype=float)
-
-
-def scalar_process_sla_batch(est, vm: VirtualMachine, load: LoadVector,
-                             required: Resources, given_cpu, given_mem,
-                             given_bw, contract: SLAContract,
-                             queue_len: float = 0.0) -> np.ndarray:
-    """Per-host ``process_sla`` via the scalar method (the shared fallback)."""
-    return np.asarray(
-        [est.process_sla(vm, load, required,
-                         Resources(cpu=float(gc), mem=float(gm),
-                                   bw=float(gb)), contract,
-                         queue_len=queue_len)
-         for gc, gm, gb in zip(np.asarray(given_cpu, dtype=float),
-                               np.asarray(given_mem, dtype=float),
-                               np.asarray(given_bw, dtype=float))],
-        dtype=float)
+           "MLEstimator"]
 
 
 def _fit_fraction(required: Resources, given_cpu, given_mem,
@@ -105,12 +69,11 @@ class Estimator:
 
     The ``*_batch`` methods answer the same queries for one VM against a
     whole host batch at once (aligned arrays, one entry per candidate
-    host).  The defaults fall back to looping the scalar methods so any
-    estimator works with the batch scorer; the built-in estimators
-    override them with vectorized numpy, which is where the batch
-    scheduler's speedup comes from.  An estimator must be *consistent*
-    about its RT path: ``process_rt`` should return None for every host or
-    for none (all built-ins are).
+    host); the round scorer calls only these, so every estimator must
+    implement them, element-for-element equal to the scalar methods.  An
+    estimator must be *consistent* about its RT path: ``process_rt`` and
+    ``process_rt_batch`` return None for every host or for none (all
+    built-ins are).
     """
 
     def required_resources(self, vm: VirtualMachine, load: LoadVector,
@@ -134,25 +97,14 @@ class Estimator:
     # -- batch interface (vectorized over candidate hosts) -------------------
     def required_resources_batch(self, vms: Sequence[VirtualMachine],
                                  rps, bytes_per_req, cpu_time_per_req,
-                                 cpu_cap: float) -> Optional[Tuple]:
-        """Per-VM demand estimates from aligned aggregate-load arrays.
+                                 cpu_cap: float) -> Tuple:
+        """Per-VM ``(cpu, mem, bw)`` demand arrays from aligned
+        aggregate-load arrays (one entry per VM of ``vms``)."""
+        raise NotImplementedError
 
-        The round-snapshot scheduling path hands the estimator every VM of
-        a round at once (one entry per VM, aligned with ``vms``).  Returns
-        the ``(cpu, mem, bw)`` requirement arrays, or None when the
-        estimator has no vectorized formulation — callers then fall back
-        to per-VM :meth:`required_resources` calls.  Implementations must
-        match the scalar method element-for-element.
-        """
-        return None
-
-    def pm_cpu_batch(self, counts, sums) -> Optional[np.ndarray]:
-        """Host CPU from per-host (#VMs, sum of VM CPU) aggregates.
-
-        Returns None when the estimator has no aggregate-only formulation;
-        the batch scorer then falls back to per-host :meth:`pm_cpu` calls.
-        """
-        return None
+    def pm_cpu_batch(self, counts, sums) -> np.ndarray:
+        """Host CPU from per-host (#VMs, sum of VM CPU) aggregates."""
+        raise NotImplementedError
 
     def process_rt_batch(self, vm: VirtualMachine, load: LoadVector,
                          required: Resources, given_cpu, given_mem,
@@ -160,18 +112,14 @@ class Estimator:
                          queue_len: float = 0.0) -> Optional[np.ndarray]:
         """Per-host :meth:`process_rt`; None when the estimator scores SLA
         directly."""
-        return scalar_process_rt_batch(self, vm, load, required, given_cpu,
-                                       given_mem, given_bw,
-                                       queue_len=queue_len)
+        raise NotImplementedError
 
     def process_sla_batch(self, vm: VirtualMachine, load: LoadVector,
                           required: Resources, given_cpu, given_mem,
                           given_bw, contract: SLAContract,
                           queue_len: float = 0.0) -> np.ndarray:
-        """Per-host :meth:`process_sla` (default: scalar loop)."""
-        return scalar_process_sla_batch(self, vm, load, required, given_cpu,
-                                        given_mem, given_bw, contract,
-                                        queue_len=queue_len)
+        """Per-host :meth:`process_sla`."""
+        raise NotImplementedError
 
 
 @dataclass

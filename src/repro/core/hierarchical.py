@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..sim.engine import Scheduler
 from ..sim.multidc import MultiDCSystem
 from ..workload.traces import WorkloadTrace
-from .bestfit import SchedulingRound, build_problem, descending_best_fit
+from .bestfit import SchedulingRound
 from .estimators import Estimator, ObservedEstimator
 from .model import ObjectiveWeights
 
@@ -77,22 +77,10 @@ class HierarchicalScheduler:
         When True, intra-DC rounds skip VMs whose current placement already
         fits and scores above the threshold (the paper's "do not include
         VMs and PMs that are already performing well").
-    use_round_snapshot:
-        When True (the default) each round snapshots the system once as a
-        :class:`~repro.core.bestfit.SchedulingRound` and every intra-DC
-        and global problem is a cheap sub-view of it; ``False`` rebuilds
-        each problem from live objects via
-        :func:`~repro.core.bestfit.build_problem` (the executable
-        reference — both produce identical assignments).
-    shard_rounds:
-        When True (requires ``use_round_snapshot``), each phase-1 problem
-        gets its own *DC-scoped* :class:`SchedulingRound` (host base and
-        placement walk restricted to that DC's PMs, demand batch restricted
-        to its VMs) and the phase-2 global problem a round scoped to the
-        narrow candidate set — construction cost becomes O(shard) instead
-        of O(fleet) per problem, which is what keeps rounds tractable on
-        sharded 50–100k-VM fleets.  Assignments are identical to the
-        single-snapshot path (differential tests pin this).
+
+    Each round snapshots the system once as a
+    :class:`~repro.core.bestfit.SchedulingRound`; every intra-DC and
+    global problem is a sub-view of it.
     """
 
     estimator: Estimator
@@ -102,8 +90,6 @@ class HierarchicalScheduler:
     min_free_cpu: float = 50.0
     min_gain_eur: float = DEFAULT_MIN_GAIN_EUR
     skip_well_consolidated: bool = False
-    use_round_snapshot: bool = True
-    shard_rounds: bool = False
     last_round: RoundDiagnostics = field(default_factory=RoundDiagnostics)
 
     def __post_init__(self) -> None:
@@ -118,28 +104,14 @@ class HierarchicalScheduler:
         diag = RoundDiagnostics(t=t)
         assignment: Dict[str, str] = {}
         movable: List[str] = []
-        # One snapshot serves every problem of this round (phase 1 + 2) —
-        # unless shard_rounds, where each problem gets its own scoped
-        # snapshot (O(shard) construction; identical assignments).
-        round_ = (SchedulingRound(system, trace, t, self.estimator,
-                                  weights=self.weights)
-                  if self.use_round_snapshot and not self.shard_rounds
-                  else None)
+        # One snapshot serves every problem of this round (phase 1 + 2).
+        round_ = SchedulingRound(system, trace, t, self.estimator,
+                                 weights=self.weights)
 
         def solve(scope_vms, scope_pms):
-            if self.use_round_snapshot:
-                r = round_ if round_ is not None else SchedulingRound(
-                    system, trace, t, self.estimator, weights=self.weights,
-                    scope_pms=scope_pms, batch_vms=scope_vms)
-                return r.best_fit(scope_vms=scope_vms,
-                                  scope_pms=scope_pms,
-                                  min_gain_eur=self.min_gain_eur)
-            problem = build_problem(system, trace, t, self.estimator,
-                                    scope_vms=scope_vms,
-                                    scope_pms=scope_pms,
-                                    weights=self.weights)
-            return descending_best_fit(problem,
-                                       min_gain_eur=self.min_gain_eur)
+            return round_.best_fit(scope_vms=scope_vms,
+                                   scope_pms=scope_pms,
+                                   min_gain_eur=self.min_gain_eur)
 
         # -- Phase 1: one Best-Fit problem per DC ---------------------------
         for dc in system.datacenters:

@@ -25,13 +25,12 @@ constraints (1: one host per VM; 2: capacity).
 Batch scoring
 -------------
 
-:func:`placement_profit` is the *reference* scalar implementation.  The hot
-path of the schedulers is :func:`evaluate_candidates` /
-:func:`score_candidates`, which score one VM against *all* candidate hosts in
-vectorized numpy over a :class:`HostBatch` — an array-shaped, incrementally
-updated snapshot of the host views.  The batch path mirrors the scalar
-arithmetic operation-for-operation so the two agree within 1e-9 (the
-differential tests enforce this).
+:func:`placement_profit` scores one pair; the schedulers score one VM
+against *all* candidate hosts at once with a :class:`RoundScorer` over a
+:class:`HostBatch` — an array-shaped snapshot of the host views, updated
+one column per commit.  The scorer mirrors the scalar arithmetic so the
+two agree within 1e-9 on every field (the differential tests in
+``tests/core/test_batch_scoring.py`` enforce this).
 """
 
 from __future__ import annotations
@@ -45,16 +44,14 @@ from ..sim.demand import LoadVector
 from ..sim.machines import PhysicalMachine, Resources, VirtualMachine
 from ..sim.network import NetworkModel
 from ..sim.power import PowerModel
-from .estimators import (Estimator, scalar_process_rt_batch,
-                         scalar_process_sla_batch)
+from .estimators import Estimator
 from .profit import PriceBook, energy_cost_eur, migration_penalty_eur
 from .sla import SLAContract, rt_for_fulfillment_arrays, weighted_sla
 
 __all__ = ["ObjectiveWeights", "VMRequest", "HostView", "HostBatch",
            "SchedulingProblem", "PlacementEvaluation", "BatchEvaluation",
-           "RoundScorer", "placement_profit", "evaluate_candidates",
-           "score_candidates", "evaluate_schedule", "check_schedule",
-           "ScheduleViolation"]
+           "RoundScorer", "placement_profit", "evaluate_schedule",
+           "check_schedule", "ScheduleViolation"]
 
 
 @dataclass(frozen=True)
@@ -217,11 +214,11 @@ class HostBatch:
     groups computed once), so scoring a VM against ``n`` hosts is a handful
     of length-``n`` numpy operations instead of ``n`` Python calls.
 
-    Mutations go through :meth:`commit` / :meth:`release`, which update the
-    underlying :class:`HostView` and then :meth:`refresh` *only the changed
-    column* — the incremental contract that lets Best-Fit reuse one batch
-    across a whole scheduling round.  (The simulator-side sibling is
-    :class:`repro.sim.fleet.FleetState`, which snapshots a whole
+    During packing, :class:`RoundScorer` owns the columns and updates only
+    the committed host's — the incremental contract that lets Best-Fit
+    reuse one batch across a whole scheduling round; :meth:`refresh`
+    recomputes a column from its host view.  (The simulator-side sibling
+    is :class:`repro.sim.fleet.FleetState`, which snapshots a whole
     (system, trace) pair the same way for batch interval stepping.)
 
     Aggregates deliberately mirror the scalar path's arithmetic:
@@ -266,10 +263,6 @@ class HostBatch:
             (model, np.asarray(ix, dtype=np.intp))
             for model, ix in by_pm.items()]
 
-    @staticmethod
-    def of(hosts: Sequence[HostView]) -> "HostBatch":
-        return HostBatch(hosts)
-
     def __len__(self) -> int:
         return len(self.hosts)
 
@@ -289,15 +282,6 @@ class HostBatch:
         self.committed_cpu_sum[i] = float(np.sum(np.asarray(
             list(view.committed_used_cpu.values()), dtype=float)))
         self.committed_count[i] = len(view.committed)
-
-    def commit(self, i: int, vm_id: str, demand: Resources,
-               used_cpu: float) -> None:
-        self.hosts[i].commit(vm_id, demand, used_cpu)
-        self.refresh(i)
-
-    def release(self, i: int, vm_id: str) -> None:
-        self.hosts[i].release(vm_id)
-        self.refresh(i)
 
     def would_be_on(self, auto_power_off: bool = True) -> np.ndarray:
         """Vectorized :meth:`HostView.would_be_on` over the batch."""
@@ -499,211 +483,42 @@ def _share_vec(demand: float, other: np.ndarray,
     return np.where(total <= cap, demand, demand * cap / total)
 
 
-def _est_rt_batch(est, vm, load, required: Resources, given_cpu, given_mem,
-                  given_bw, queue_len: float) -> Optional[np.ndarray]:
-    """Estimator RT over a host batch, falling back to scalar calls.
-
-    Estimators are duck-typed (they need not subclass
-    :class:`~repro.core.estimators.Estimator`), so the vectorized method is
-    optional; without it the shared scalar-loop fallback runs.
-    """
-    fn = getattr(est, "process_rt_batch", None)
-    if fn is not None:
-        return fn(vm, load, required, given_cpu, given_mem, given_bw,
-                  queue_len=queue_len)
-    return scalar_process_rt_batch(est, vm, load, required, given_cpu,
-                                   given_mem, given_bw, queue_len=queue_len)
-
-
-def _est_sla_batch(est, vm, load, required: Resources, given_cpu, given_mem,
-                   given_bw, contract, queue_len: float) -> np.ndarray:
-    """Estimator SLA over a host batch, falling back to scalar calls."""
-    fn = getattr(est, "process_sla_batch", None)
-    if fn is not None:
-        return fn(vm, load, required, given_cpu, given_mem, given_bw,
-                  contract, queue_len=queue_len)
-    return scalar_process_sla_batch(est, vm, load, required, given_cpu,
-                                    given_mem, given_bw, contract,
-                                    queue_len=queue_len)
-
-
-def _batch_sla(problem: SchedulingProblem, request: VMRequest,
-               batch: HostBatch, required: Resources,
-               given_cpu: np.ndarray, given_mem: np.ndarray,
-               given_bw: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_placement_sla` over every host of the batch."""
-    est = problem.estimator
-    agg = request.aggregate_load
-    contract = request.contract
-    n = len(batch)
-    rt_proc = _est_rt_batch(est, request.vm, agg, required, given_cpu,
-                            given_mem, given_bw, request.queue_len)
-    if rt_proc is not None:
-        eq_rt = np.asarray(rt_proc, dtype=float)
-    else:
-        sla_proc = np.asarray(_est_sla_batch(
-            est, request.vm, agg, required, given_cpu, given_mem, given_bw,
-            contract, request.queue_len), dtype=float)
-        eq_rt = rt_for_fulfillment_arrays(sla_proc, contract.rt0,
-                                          contract.alpha)
-    # weighted_sla over the request's sources, with per-host latencies.
-    lat_s = {loc: {src: problem.network.host_to_source_ms(loc, src) / 1000.0
-                   for src in request.loads}
-             for loc in batch.location_groups}
-    total = np.zeros(n)
-    weight = 0.0
-    for src, load in request.loads.items():
-        rps = load.rps
-        if rps == 0.0:
-            continue
-        rt_src = np.empty(n)
-        for loc, ix in batch.location_groups.items():
-            rt_src[ix] = eq_rt[ix] + lat_s[loc][src]
-        total += contract.fulfillment(rt_src) * rps
-        weight += rps
-    if weight == 0.0:
-        return np.ones(n)
-    return total / weight
-
-
-def _batch_pm_cpu(est, batch: HostBatch, counts: np.ndarray,
-                  sums: np.ndarray,
-                  extra_cpu: Optional[np.ndarray] = None) -> np.ndarray:
-    """Estimator PM-CPU over per-host (count, sum) aggregates.
-
-    Falls back to per-host scalar ``pm_cpu`` calls for estimators without a
-    vectorized path (``extra_cpu`` appends the tentative VM per host).
-    """
-    fn = getattr(est, "pm_cpu_batch", None)
-    out = fn(counts, sums) if fn is not None else None
-    if out is not None:
-        return np.asarray(out, dtype=float)
-    vals = []
-    for i, host in enumerate(batch.hosts):
-        cpus = list(host.committed_used_cpu.values())
-        if extra_cpu is not None:
-            cpus = cpus + [float(extra_cpu[i])]
-        vals.append(est.pm_cpu(cpus))
-    return np.asarray(vals, dtype=float)
-
-
-def evaluate_candidates(problem: SchedulingProblem, request: VMRequest,
-                        hosts, required: Optional[Resources] = None
-                        ) -> BatchEvaluation:
-    """Score placing ``request`` on every host of a batch, vectorized.
-
-    ``hosts`` is a :class:`HostBatch` (reused across a scheduling round) or
-    any sequence of :class:`HostView` (a throwaway batch is built).  The
-    result matches a loop of :func:`placement_profit` calls within 1e-9 on
-    every field.  ``required`` may be passed to avoid re-estimating the
-    VM's demand when scoring the same request against several batches.
-    Estimators without ``*_batch`` methods transparently fall back to
-    per-host scalar calls, so any duck-typed estimator works (just slower).
-    """
-    batch = hosts if isinstance(hosts, HostBatch) else HostBatch.of(hosts)
-    est = problem.estimator
-    vm = request.vm
-    agg = request.aggregate_load
-    if required is None:
-        required = est.required_resources(vm, agg, float("inf"))
-    given_cpu = _burst_vec(required.cpu, batch.used_cpu, batch.cap_cpu)
-    given_mem = _share_vec(required.mem, batch.used_mem, batch.cap_mem)
-    given_bw = _burst_vec(required.bw, batch.used_bw, batch.cap_bw)
-    used_cpu = np.minimum(required.cpu, given_cpu)
-
-    # SLA -> revenue (with migration blackout haircut).
-    sla = _batch_sla(problem, request, batch, required,
-                     given_cpu, given_mem, given_bw)
-    hours = problem.interval_s / 3600.0
-    n = len(batch)
-    migration_s = np.zeros(n)
-    penalty = np.zeros(n)
-    if request.current_pm is not None:
-        staying = np.zeros(n, dtype=bool)
-        cur = batch.index.get(request.current_pm)
-        if cur is not None:
-            staying[cur] = True
-        for loc, ix in batch.location_groups.items():
-            migration_s[ix] = problem.network.migration_seconds(
-                vm.image_size_mb, request.current_location or loc, loc)
-        migration_s[staying] = 0.0
-        penalty = (problem.prices.migration_penalty_rate * migration_s
-                   / 3600.0)
-        sla = sla * np.maximum(0.0, 1.0 - migration_s / problem.interval_s)
-    revenue = request.contract.price_eur_per_hour * sla * hours
-
-    # Marginal energy on each target host.
-    cpu_before = _batch_pm_cpu(est, batch, batch.committed_count,
-                               batch.committed_cpu_sum)
-    cpu_after = _batch_pm_cpu(est, batch, batch.committed_count + 1,
-                              batch.committed_cpu_sum + used_cpu,
-                              extra_cpu=used_cpu)
-    running = batch.would_be_on(problem.auto_power_off)
-    watts_before = np.empty(n)
-    watts_after = np.empty(n)
-    for model, ix in batch.power_groups:
-        watts_before[ix] = model.facility_watts(
-            np.minimum(cpu_before[ix], batch.cap_cpu[ix]))
-        watts_after[ix] = model.facility_watts(
-            np.minimum(cpu_after[ix], batch.cap_cpu[ix]))
-    watts_before = np.where(running, watts_before, 0.0)
-    energy = (np.maximum(0.0, watts_after - watts_before)
-              * problem.interval_s / 3600.0 / 1000.0 * batch.energy_price)
-
-    w = problem.weights
-    profit = (w.revenue * revenue - w.energy * energy
-              - w.migration * penalty)
-    return BatchEvaluation(
-        pm_ids=tuple(h.pm_id for h in batch.hosts), required=required,
-        profit_eur=profit, revenue_eur=revenue, energy_cost_eur=energy,
-        migration_penalty_eur=penalty, sla=sla, given_cpu=given_cpu,
-        given_mem=given_mem, given_bw=given_bw, used_cpu=used_cpu,
-        migration_seconds=migration_s)
-
-
 class RoundScorer:
     """Precomputed scoring context for one packing problem over one batch.
 
-    :func:`evaluate_candidates` re-derives per-call everything a host batch
-    does not carry — the latency of every (host, source) pair, migration
-    timing per location, the estimator's batch methods, the host power
-    state — which costs more than the actual arithmetic once a scheduling
-    round scores hundreds of VMs.  A ``RoundScorer`` hoists all of that to
-    problem scope and keeps it between VMs:
+    The one batch scorer: it scores one VM against every host of the
+    batch with the arithmetic of :func:`placement_profit`, and keeps
+    between VMs everything a host batch does not carry — the latency of
+    every (host, source) pair, migration timing per location, the host
+    power state — which costs more than the arithmetic itself once a
+    scheduling round scores hundreds of VMs:
 
     * latency and migration columns are materialized once per (source) and
       per (origin location) and cached;
-    * estimator dispatch is resolved once (estimators without the batch
-      interface raise ``ValueError`` — callers fall back to
-      :func:`evaluate_candidates`, which loops scalars);
+    * the estimator's batch interface (``process_rt_batch``,
+      ``process_sla_batch``, ``pm_cpu_batch``) is bound once;
     * the "watts before" vector — the facility power of every host under
       the current tentative packing — is cached and refreshed only on
       :meth:`commit`.
 
-    :meth:`evaluate` mirrors :func:`evaluate_candidates`' arithmetic; the
-    only deviations are mathematically-neutral regroupings (a stacked
-    per-source SLA reduction, prefused unit conversions) whose floating-
-    point drift is bounded by a few ulp — far inside the 1e-9 equivalence
-    contract, with identical assignments on every differential scenario
-    (``tests/core/test_round_snapshot.py`` pins both).  All mutations
-    must go through :meth:`commit` so the cached host state stays in
-    lockstep; the underlying :class:`HostView` objects are *not* updated
-    during packing (the batch columns are authoritative).
+    Against the scalar :func:`placement_profit` the only deviations are
+    mathematically-neutral regroupings (a stacked per-source SLA
+    reduction, prefused unit conversions) whose floating-point drift is
+    bounded by a few ulp — far inside the 1e-9 equivalence contract
+    (``tests/core/test_batch_scoring.py`` pins every field, and
+    ``tests/core/test_round_snapshot.py`` the packed assignments).  All
+    mutations must go through :meth:`commit` so the cached host state
+    stays in lockstep; the underlying :class:`HostView` objects are *not*
+    updated during packing (the batch columns are authoritative).
     """
 
     def __init__(self, problem: SchedulingProblem, batch: HostBatch) -> None:
         self.problem = problem
         self.batch = batch
         est = problem.estimator
-        self._rt_fn = getattr(est, "process_rt_batch", None)
-        self._sla_fn = getattr(est, "process_sla_batch", None)
-        self._pm_fn = getattr(est, "pm_cpu_batch", None)
-        if self._sla_fn is None or self._pm_fn is None:
-            raise ValueError("estimator lacks the batch interface")
-        # Probe once: pm_cpu_batch may decline (None) at call time.
-        probe = self._pm_fn(batch.committed_count, batch.committed_cpu_sum)
-        if probe is None:
-            raise ValueError("estimator lacks a vectorized pm_cpu")
+        self._rt_fn = est.process_rt_batch
+        self._sla_fn = est.process_sla_batch
+        self._pm_fn = est.pm_cpu_batch
         n = len(batch)
         self.n = n
         self._pm_ids = tuple(h.pm_id for h in batch.hosts)
@@ -811,9 +626,8 @@ class RoundScorer:
     def _refresh_host_state(self) -> None:
         """Recompute the packing-dependent host vectors (after commits).
 
-        Exactly what :func:`evaluate_candidates` derives per call: the
-        estimator's PM CPU for the current commitments, the facility watts
-        at that CPU, masked by which hosts would be running.
+        The estimator's PM CPU for the current commitments, the facility
+        watts at that CPU, masked by which hosts would be running.
         """
         batch = self.batch
         cpu_before = np.asarray(
@@ -940,11 +754,11 @@ class RoundScorer:
     # -- scoring ----------------------------------------------------------------
     def evaluate(self, request: VMRequest, required: Resources,
                  agg: Optional[LoadVector] = None) -> BatchEvaluation:
-        """Score ``request`` on every host; :func:`evaluate_candidates` twin.
+        """Score ``request`` on every host; :func:`placement_profit` per column.
 
         ``agg`` may pass the request's precomputed aggregate load (the
-        round snapshot keeps it); omitted, it is derived like the
-        reference does.
+        round snapshot keeps it); omitted, it is derived from the
+        request's loads.
         """
         problem, batch = self.problem, self.batch
         vm = request.vm
@@ -971,12 +785,11 @@ class RoundScorer:
         used_cpu = np.minimum(required.cpu, given_cpu)
 
         # SLA: per-source fulfillment at (process + transport) RT, rate-
-        # weighted — the same accumulation _batch_sla runs, with the
-        # latency columns precomputed and the contract validated once.
+        # weighted — the accumulation of weighted_sla, with the latency
+        # columns precomputed and the contract validated once.
         contract = request.contract
-        rt_proc = (self._rt_fn(vm, agg, required, given_cpu, given_mem,
-                               given_bw, queue_len=request.queue_len)
-                   if self._rt_fn is not None else None)
+        rt_proc = self._rt_fn(vm, agg, required, given_cpu, given_mem,
+                              given_bw, queue_len=request.queue_len)
         if rt_proc is not None:
             eq_rt = np.asarray(rt_proc, dtype=float)
         else:
@@ -998,7 +811,7 @@ class RoundScorer:
                            1.0)
             sla = (f * rps_vec[:, None]).sum(axis=0) / rps_vec.sum()
         else:
-            # Zero-rate sources present (or no sources): the reference's
+            # Zero-rate sources present (or no sources): weighted_sla's
             # source-by-source accumulation, skipping dead sources.
             total = None
             weight = 0.0
@@ -1061,21 +874,6 @@ class RoundScorer:
             migration_penalty_eur=penalty, sla=sla, given_cpu=given_cpu,
             given_mem=given_mem, given_bw=given_bw, used_cpu=used_cpu,
             migration_seconds=migration_s)
-
-
-def score_candidates(problem: SchedulingProblem, request: VMRequest,
-                     hosts, required: Optional[Resources] = None
-                     ) -> np.ndarray:
-    """Profit of placing ``request`` on each candidate host (the batch API).
-
-    Thin wrapper over :func:`evaluate_candidates` returning only the
-    profit vector (EUR per interval, aligned with the batch's host order)
-    that the schedulers argmax over.  Use :func:`evaluate_candidates`
-    directly when the per-term breakdown (revenue / energy / migration /
-    SLA / grants) is needed.
-    """
-    return evaluate_candidates(problem, request, hosts,
-                               required=required).profit_eur
 
 
 def evaluate_schedule(problem: SchedulingProblem,

@@ -25,7 +25,7 @@ from ..sim.engine import Scheduler
 from ..sim.monitor import Monitor
 from ..sim.multidc import MultiDCSystem
 from ..workload.traces import WorkloadTrace
-from .bestfit import build_problem, descending_best_fit
+from .bestfit import SchedulingRound
 from .estimators import MLEstimator
 from .model import ObjectiveWeights
 
@@ -109,9 +109,10 @@ class OnlineLearningScheduler:
         if self._models is None:
             return None  # still warming up: keep the current placement
         estimator = MLEstimator(self._models, sla_mode=self.sla_mode)
-        problem = build_problem(system, trace, t, estimator,
-                                weights=self.weights)
+        round_ = SchedulingRound(system, trace, t, estimator,
+                                 weights=self.weights)
+        problem = round_.problem()
         if not problem.requests:
             return None
-        return descending_best_fit(
-            problem, min_gain_eur=self.min_gain_eur).assignment
+        return round_.pack(problem,
+                           min_gain_eur=self.min_gain_eur).assignment

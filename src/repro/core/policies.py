@@ -23,8 +23,7 @@ from ..ml.calibration import RiskConfig
 from ..ml.predictors import ModelSet
 from ..sim.engine import Scheduler
 from ..sim.monitor import Monitor
-from .bestfit import build_problem, descending_best_fit, \
-    make_bestfit_scheduler
+from .bestfit import SchedulingRound, make_bestfit_scheduler
 from .estimators import MLEstimator, ObservedEstimator, OracleEstimator
 from .exact import exact_schedule
 from .hierarchical import DEFAULT_MIN_GAIN_EUR, HierarchicalScheduler
@@ -113,15 +112,16 @@ def exact_scheduler(weights: Optional[ObjectiveWeights] = None,
     :func:`repro.core.exact.exact_schedule` under ground-truth
     (:class:`OracleEstimator`) models.  The search is O(hosts^VMs), so
     this only plays small instances; when the ``max_nodes`` budget is
-    exhausted the round falls back to :func:`descending_best_fit`
+    exhausted the round falls back to Best-Fit on the same problem
     (``fallback=False`` re-raises instead).  The returned callable
     counts budget exhaustions on its ``n_fallbacks`` attribute.
     """
     estimator = OracleEstimator()
 
     def schedule(system, trace, t):
-        problem = build_problem(system, trace, t, estimator,
-                                weights=weights)
+        round_ = SchedulingRound(system, trace, t, estimator,
+                                 weights=weights)
+        problem = round_.problem()
         if not problem.requests or not problem.hosts:
             return {}
         try:
@@ -130,7 +130,7 @@ def exact_scheduler(weights: Optional[ObjectiveWeights] = None,
             if not fallback:
                 raise
             schedule.n_fallbacks += 1
-            return descending_best_fit(problem).assignment
+            return round_.pack(problem).assignment
 
     schedule.n_fallbacks = 0
     return schedule

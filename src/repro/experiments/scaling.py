@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.bestfit import build_problem, descending_best_fit
+from ..core.bestfit import SchedulingRound
 from ..core.estimators import OracleEstimator
 from ..core.hierarchical import HierarchicalScheduler
 from ..core.model import (HostView, ObjectiveWeights, SchedulingProblem,
@@ -31,12 +31,9 @@ from ..sim.power import atom_power_model
 from .scenario import ScenarioConfig, multidc_system, multidc_trace
 
 __all__ = ["ScalingPoint", "ScalingResult", "run_scaling", "format_scaling",
-           "synthetic_fleet_problem", "LargeFleetResult", "run_large_fleet",
-           "format_large_fleet", "synthetic_fleet_system",
+           "synthetic_fleet_problem", "synthetic_fleet_system",
            "FleetSimResult", "run_fleet_simulation",
-           "format_fleet_simulation", "synthetic_hierarchical_fleet",
-           "HierarchicalFleetResult", "run_hierarchical_fleet",
-           "format_hierarchical_fleet"]
+           "format_fleet_simulation", "synthetic_hierarchical_fleet"]
 
 
 @dataclass(frozen=True)
@@ -91,8 +88,7 @@ def _measure_scaling(sizes: Sequence[Tuple[int, int]] = ((5, 1), (10, 2),
         estimator = OracleEstimator()
 
         def flat_round():
-            problem = build_problem(system, trace, 1, estimator)
-            descending_best_fit(problem)
+            SchedulingRound(system, trace, 1, estimator).best_fit()
 
         hier = HierarchicalScheduler(estimator=estimator,
                                      sla_move_threshold=0.9)
@@ -155,57 +151,6 @@ def synthetic_fleet_problem(n_hosts: int = 200, n_vms: int = 500,
         prices=PriceBook(energy_price_eur_kwh=prices),
         estimator=OracleEstimator(),
         weights=weights or ObjectiveWeights())
-
-
-@dataclass(frozen=True)
-class LargeFleetResult:
-    """Batch vs scalar cost of one large scheduling round."""
-
-    n_vms: int
-    n_pms: int
-    batch_ms: float
-    scalar_ms: float
-    assignments_match: bool
-    profit_abs_diff: float
-
-    @property
-    def speedup(self) -> float:
-        if self.batch_ms <= 0:
-            return float("inf")
-        return self.scalar_ms / self.batch_ms
-
-
-def _measure_large_fleet(n_hosts: int = 200, n_vms: int = 500,
-                         seed: int = 7,
-                         repeats: int = 1) -> LargeFleetResult:
-    """Schedule one ≥200-host x ≥500-VM round both ways and compare.
-
-    Returns wall-clock per path plus the equivalence evidence (assignment
-    match and absolute profit difference) — the scaling claim is only
-    meaningful if the fast path computes the same schedule.
-    """
-    problem = synthetic_fleet_problem(n_hosts=n_hosts, n_vms=n_vms,
-                                      seed=seed)
-
-    def timed(run) -> Tuple[float, object]:
-        best, result = float("inf"), None
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            result = run()
-            best = min(best, time.perf_counter() - t0)
-        return best * 1000.0, result
-
-    batch_ms, batch_result = timed(
-        lambda: descending_best_fit(problem, batch=True))
-    scalar_ms, scalar_result = timed(
-        lambda: descending_best_fit(problem, batch=False))
-    return LargeFleetResult(
-        n_vms=n_vms, n_pms=n_hosts, batch_ms=batch_ms,
-        scalar_ms=scalar_ms,
-        assignments_match=(batch_result.assignment
-                           == scalar_result.assignment),
-        profit_abs_diff=abs(batch_result.total_profit
-                            - scalar_result.total_profit))
 
 
 def synthetic_fleet_system(n_hosts: int = 200, n_vms: int = 500,
@@ -289,8 +234,7 @@ def _measure_fleet_simulation(n_hosts: int = 200, n_vms: int = 500,
     """Run the large-fleet scenario end-to-end, batch and scalar.
 
     Both runs use a static placement (``scheduler=None``) so the measured
-    cost is the stepping path itself — the scheduler's own batch speedup
-    is PR 1's story (:func:`run_large_fleet`).  Returns wall-clock for
+    cost is the stepping path itself.  Returns wall-clock for
     each path and the equivalence evidence: the largest absolute
     difference across every field of every interval report
     (:func:`repro.sim.fleet.report_max_abs_diff`).
@@ -391,157 +335,13 @@ def synthetic_hierarchical_fleet(n_dcs: int = 8, pms_per_dc: int = 56,
     return system, trace
 
 
-@dataclass(frozen=True)
-class HierarchicalFleetResult:
-    """Round-snapshot vs per-round-build cost of a hierarchical run.
-
-    Two reference timings are reported, because this PR changed *two*
-    things about the scheduling path: ``reference_s`` rebuilds every
-    problem per round via :func:`~repro.core.bestfit.build_problem` with
-    the (new) per-VM trace index in place — isolating the round-snapshot
-    layer itself — while ``seed_reference_s`` additionally reproduces the
-    pre-index O(total-series) ``load_at`` scans, i.e. the scheduling
-    round exactly as it stood before this change.  The headline claim
-    (the ≥ 5x gate) is against the latter; the snapshot-vs-indexed-build
-    ratio is reported and gated separately so the decomposition stays
-    honest.
-    """
-
-    n_dcs: int
-    n_vms: int
-    n_pms: int
-    n_intervals: int
-    snapshot_s: float
-    reference_s: float
-    seed_reference_s: float
-    placements_match: bool
-    max_abs_diff: float
-    mean_sla: float
-    total_profit_eur: float
-    n_migrations: int
-
-    @property
-    def speedup(self) -> float:
-        """Snapshot path vs per-round build with the trace index."""
-        if self.snapshot_s <= 0:
-            return float("inf")
-        return self.reference_s / self.snapshot_s
-
-    @property
-    def seed_speedup(self) -> float:
-        """Snapshot path vs the pre-change per-round build path."""
-        if self.snapshot_s <= 0:
-            return float("inf")
-        return self.seed_reference_s / self.snapshot_s
-
-
-class _UnindexedTrace:
-    """Measurement shim: a trace whose ``load_at`` scans every series.
-
-    Reproduces, for benchmarking only, the seed's O(total-series)
-    ``WorkloadTrace.load_at`` (removed by this change's per-VM index) so
-    ``run_hierarchical_fleet`` can time the scheduling round as it stood
-    before.  Delegates everything else to the wrapped trace.
-    """
-
-    def __init__(self, trace) -> None:
-        self._trace = trace
-
-    def __getattr__(self, name):
-        return getattr(self._trace, name)
-
-    def load_at(self, vm_id: str, t: int):
-        out = {}
-        for (vm, src), s in self._trace.series.items():
-            if vm == vm_id:
-                out[src] = s.at(t)
-        if not out:
-            raise KeyError(f"no series for VM {vm_id!r}")
-        return out
-
-
-def _measure_hierarchical_fleet(n_dcs: int = 8, pms_per_dc: int = 56,
-                                n_vms: int = 3000, n_intervals: int = 6,
-                                sources_per_vm: int = 8, seed: int = 11,
-                                fail_prob: float = 0.02,
-                                sla_move_threshold: float = 0.9
-                                ) -> HierarchicalFleetResult:
-    """Run the many-DC scenario end-to-end three ways and compare.
-
-    Each run is the full engine loop — failure injection, a hierarchical
-    scheduling round every interval, then the (batch) stepping path — with
-    the scheduler's problems built through the round snapshot
-    (:class:`repro.core.bestfit.SchedulingRound`), through per-round
-    :func:`repro.core.bestfit.build_problem` (the executable reference),
-    or through per-round ``build_problem`` with the seed's un-indexed
-    trace scans (the pre-change path; see
-    :class:`HierarchicalFleetResult`).  Identically seeded failure
-    injectors produce the same failure trace as long as the schedules
-    match, which is exactly the equivalence being claimed: identical
-    placements every interval and interval reports within 1e-9 on every
-    field (structural mismatches surface as ``placements_match=False`` /
-    a raised diff).
-    """
-    from ..sim.engine import run_simulation
-    from ..sim.failures import FailureInjector
-    from ..sim.fleet import report_max_abs_diff
-
-    def run(use_round_snapshot: bool, unindexed: bool = False):
-        system, trace = synthetic_hierarchical_fleet(
-            n_dcs=n_dcs, pms_per_dc=pms_per_dc, n_vms=n_vms,
-            n_intervals=n_intervals, sources_per_vm=sources_per_vm,
-            seed=seed)
-        scheduler = HierarchicalScheduler(
-            estimator=OracleEstimator(),
-            sla_move_threshold=sla_move_threshold,
-            use_round_snapshot=use_round_snapshot)
-        if unindexed:
-            # The engine sees the slow facade; stepping still uses the
-            # real trace object underneath (batch stepping reads series
-            # arrays, not load_at), so only the scheduler pays the scans
-            # — exactly where the seed paid them.
-            sched = scheduler
-            scheduler = (lambda sy, tr, t: sched(sy, _UnindexedTrace(tr),
-                                                 t))
-        injector = FailureInjector(
-            rng=np.random.default_rng(seed + 1),
-            fail_prob_per_interval=fail_prob, repair_intervals=3,
-            max_down=2)
-        t0 = time.perf_counter()
-        history = run_simulation(system, trace, scheduler=scheduler,
-                                 failure_injector=injector)
-        return time.perf_counter() - t0, history
-
-    snapshot_s, snap_hist = run(use_round_snapshot=True)
-    reference_s, ref_hist = run(use_round_snapshot=False)
-    seed_reference_s, seed_hist = run(use_round_snapshot=False,
-                                      unindexed=True)
-    placements_match = all(
-        rs.placement == rr.placement and rs.placement == rq.placement
-        for rs, rr, rq in zip(snap_hist.reports, ref_hist.reports,
-                              seed_hist.reports))
-    diff = max(max(report_max_abs_diff(rs, rr),
-                   report_max_abs_diff(rs, rq))
-               for rs, rr, rq in zip(snap_hist.reports, ref_hist.reports,
-                                     seed_hist.reports))
-    summary = snap_hist.summary()
-    return HierarchicalFleetResult(
-        n_dcs=n_dcs, n_vms=n_vms, n_pms=n_dcs * pms_per_dc,
-        n_intervals=n_intervals, snapshot_s=snapshot_s,
-        reference_s=reference_s, seed_reference_s=seed_reference_s,
-        placements_match=placements_match,
-        max_abs_diff=diff, mean_sla=summary.avg_sla,
-        total_profit_eur=summary.profit_eur,
-        n_migrations=summary.n_migrations)
-
-
 # -- engine integration: the measurements as analysis-only specs --------------
 #
-# The scaling experiments time batch vs scalar (or snapshot vs reference)
-# implementations of the *same* computation, so they do not decompose
-# into engine variants; they plug into the engine as analysis hooks
-# instead, which makes them registry-visible (``scenarios run
-# large_fleet``) with the measurement code untouched.
+# The scaling experiments time schedulers (or batch vs scalar stepping of
+# the *same* computation), so they do not decompose into engine variants;
+# they plug into the engine as analysis hooks instead, which makes them
+# registry-visible (``scenarios run scaling``) with the measurement code
+# untouched.
 
 def _make_measurement(name, description, measure, fmt, defaults):
     from .engine import (ANALYSES, REGISTRY, ScenarioSpec, ScenarioResult,
@@ -585,37 +385,17 @@ scaling_spec, _run_scaling = _make_measurement(
     "cost", _measure_scaling, lambda r: format_scaling(r),
     dict(sizes=((5, 1), (10, 2), (20, 4), (40, 8)), seed=23))
 
-large_fleet_spec, _run_large_fleet = _make_measurement(
-    "large_fleet", "Batch vs scalar scoring of one 500-VM x 200-PM round",
-    _measure_large_fleet, lambda r: format_large_fleet(r),
-    dict(n_hosts=200, n_vms=500, seed=7, repeats=1))
-
 fleet_sim_spec, _run_fleet_simulation = _make_measurement(
     "fleet_sim", "Batch vs scalar stepping of the 500-VM fleet "
     "simulation", _measure_fleet_simulation,
     lambda r: format_fleet_simulation(r),
     dict(n_hosts=200, n_vms=500, n_intervals=96, seed=7))
 
-hierarchical_fleet_spec, _run_hierarchical_fleet = _make_measurement(
-    "hierarchical_fleet", "Round-snapshot vs per-round build on the 8-DC "
-    "x 3000-VM fleet", _measure_hierarchical_fleet,
-    lambda r: format_hierarchical_fleet(r),
-    dict(n_dcs=8, pms_per_dc=56, n_vms=3000, n_intervals=6,
-         sources_per_vm=8, seed=11))
-
-
 def run_scaling(sizes: Sequence[Tuple[int, int]] = ((5, 1), (10, 2),
                                                     (20, 4), (40, 8)),
                 seed: int = 23) -> ScalingResult:
     """Measure per-round cost at each size (via the scenario engine)."""
     return _run_scaling(sizes=tuple(sizes), seed=seed)
-
-
-def run_large_fleet(n_hosts: int = 200, n_vms: int = 500, seed: int = 7,
-                    repeats: int = 1) -> LargeFleetResult:
-    """Schedule one large round both ways (via the scenario engine)."""
-    return _run_large_fleet(n_hosts=n_hosts, n_vms=n_vms, seed=seed,
-                            repeats=repeats)
 
 
 def run_fleet_simulation(n_hosts: int = 200, n_vms: int = 500,
@@ -626,33 +406,6 @@ def run_fleet_simulation(n_hosts: int = 200, n_vms: int = 500,
                                  n_intervals=n_intervals, seed=seed)
 
 
-def run_hierarchical_fleet(n_dcs: int = 8, pms_per_dc: int = 56,
-                           n_vms: int = 3000, n_intervals: int = 6,
-                           sources_per_vm: int = 8, seed: int = 11,
-                           fail_prob: float = 0.02,
-                           sla_move_threshold: float = 0.9
-                           ) -> HierarchicalFleetResult:
-    """Run the many-DC comparison (via the scenario engine)."""
-    return _run_hierarchical_fleet(
-        n_dcs=n_dcs, pms_per_dc=pms_per_dc, n_vms=n_vms,
-        n_intervals=n_intervals, sources_per_vm=sources_per_vm, seed=seed,
-        fail_prob=fail_prob, sla_move_threshold=sla_move_threshold)
-
-
-def format_hierarchical_fleet(result: HierarchicalFleetResult) -> str:
-    return (
-        f"Hierarchical fleet ({result.n_dcs} DCs, {result.n_vms} VMs x "
-        f"{result.n_pms} PMs x {result.n_intervals} rounds, failures on): "
-        f"snapshot {result.snapshot_s:.2f} s, per-round build "
-        f"{result.reference_s:.2f} s ({result.speedup:.1f}x), pre-index "
-        f"per-round build {result.seed_reference_s:.2f} s "
-        f"({result.seed_speedup:.1f}x), placements "
-        f"{'match' if result.placements_match else 'DIVERGE'}, "
-        f"max |report diff| = {result.max_abs_diff:.2e} "
-        f"(avg SLA {result.mean_sla:.3f}, "
-        f"{result.n_migrations} migrations)")
-
-
 def format_fleet_simulation(result: FleetSimResult) -> str:
     return (
         f"Full simulation ({result.n_vms} VMs x {result.n_pms} PMs x "
@@ -661,15 +414,6 @@ def format_fleet_simulation(result: FleetSimResult) -> str:
         f"max |report diff| = {result.max_abs_diff:.2e} "
         f"(avg SLA {result.mean_sla:.3f}, "
         f"profit {result.total_profit_eur:.2f} EUR)")
-
-
-def format_large_fleet(result: LargeFleetResult) -> str:
-    return (
-        f"Large-fleet round ({result.n_vms} VMs x {result.n_pms} PMs): "
-        f"batch {result.batch_ms:.1f} ms, scalar {result.scalar_ms:.1f} ms, "
-        f"speedup {result.speedup:.1f}x, assignments "
-        f"{'match' if result.assignments_match else 'DIVERGE'} "
-        f"(|profit diff| = {result.profit_abs_diff:.2e} EUR)")
 
 
 def format_scaling(result: ScalingResult) -> str:
@@ -688,8 +432,4 @@ def format_scaling(result: ScalingResult) -> str:
 if __name__ == "__main__":
     print(format_scaling(run_scaling()))
     print()
-    print(format_large_fleet(run_large_fleet()))
-    print()
     print(format_fleet_simulation(run_fleet_simulation()))
-    print()
-    print(format_hierarchical_fleet(run_hierarchical_fleet()))

@@ -74,25 +74,19 @@ class LintConfig:
     # -- parity pairs (PAR00x) -----------------------------------------------
     #: qualname -> scalar twin name, for kernels whose twin does not
     #: follow the ``_batch`` -> ``""`` / ``_batch`` -> ``_scalar`` naming.
+    #: A value ``tests/<path>.py::<name>`` points at a test oracle: that
+    #: file must define ``<name>`` at top level.
     parity_twin_overrides: Dict[str, str] = field(default_factory=lambda: {
         # The batch demand kernel's executable scalar reference.
         "repro.sim.demand.DemandModel.required_batch": "required_resources",
-        # The batch packing loop's scalar reference is the scalar
-        # best-fit body, not a same-name twin.
-        "repro.core.bestfit._pack_batch": "_best_fit_scalar",
+        # The packing loop's scalar reference is the per-host Best-Fit
+        # loop, kept as a test oracle.
+        "repro.core.bestfit._pack_batch":
+            "tests/core/bestfit_oracle.py::best_fit_scalar",
     })
-    #: qualname -> justification, for batch-shaped helpers that *are*
-    #: the scalar fallback (or adapters over it) and need no twin.
-    parity_exempt: Dict[str, str] = field(default_factory=lambda: {
-        "repro.core.estimators.scalar_process_rt_batch":
-            "is itself the scalar-fallback adapter (wraps est.process_rt)",
-        "repro.core.estimators.scalar_process_sla_batch":
-            "is itself the scalar-fallback adapter (wraps est.process_sla)",
-        "repro.core.model._est_rt_batch":
-            "dispatch shim that falls back to the scalar estimator path",
-        "repro.core.model._est_sla_batch":
-            "dispatch shim that falls back to the scalar estimator path",
-    })
+    #: qualname -> justification, for batch-shaped helpers that need no
+    #: twin (none today).
+    parity_exempt: Dict[str, str] = field(default_factory=dict)
     #: Repo-relative directories searched for the differential test that
     #: names both halves of a parity pair.
     parity_test_dirs: Tuple[str, ...] = ("tests", "benchmarks")

@@ -7,9 +7,10 @@ has three checkable parts, each a rule:
 * **PAR001** — a ``*_batch`` kernel with no discoverable scalar twin:
   neither ``name`` minus ``_batch``, nor ``_batch`` -> ``_scalar``, in
   the same class (then same module), nor an explicit
-  :data:`~repro.lint.config.LintConfig.parity_twin_overrides` entry.
-  Exemptions (kernels that *are* the scalar fallback) live in
-  ``parity_exempt`` with a justification string each.
+  :data:`~repro.lint.config.LintConfig.parity_twin_overrides` entry.  An
+  override of the form ``tests/<path>.py::<name>`` names a test oracle:
+  the twin is found only when that file defines ``<name>`` at top level.
+  Exemptions live in ``parity_exempt`` with a justification string each.
 * **PAR002** — no differential test: no file under ``tests/`` or
   ``benchmarks/`` names **both** halves of the pair (word-boundary
   match, so ``pm_cpu_batch`` does not count as naming ``pm_cpu``).
@@ -72,9 +73,26 @@ def _twin_candidates(name: str) -> List[str]:
     return [base, f"{base}_scalar"]
 
 
+def _oracle_twin(root: Path, ref: str) -> Optional[str]:
+    """``<name>`` of a ``<path>.py::<name>`` reference, if the file
+    defines it at top level."""
+    path, _sep, name = ref.partition("::")
+    try:
+        tree = ast.parse((root / path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, SyntaxError, ValueError):
+        return None
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))}
+    return name if name in defined else None
+
+
 def _find_twin(name: str, qual: str, siblings: List[str],
-               toplevel: List[str], config: LintConfig) -> Optional[str]:
+               toplevel: List[str], config: LintConfig,
+               root: Path) -> Optional[str]:
     override = config.parity_twin_overrides.get(qual)
+    if override and "::" in override:
+        return _oracle_twin(root, override)
     candidates = [override] if override else _twin_candidates(name)
     for cand in candidates:
         if cand and (cand in siblings or cand in toplevel):
@@ -108,15 +126,20 @@ def check_repo(contexts: Iterable[FileContext], root: Path,
             if qual in config.parity_exempt:
                 continue
             symbol = qual
-            twin = _find_twin(node.name, qual, siblings, toplevel, config)
+            twin = _find_twin(node.name, qual, siblings, toplevel, config,
+                              root)
             if twin is None:
+                override = config.parity_twin_overrides.get(qual, "")
+                where = (f"({override} is not defined there)"
+                         if "::" in override else
+                         f"({' / '.join(_twin_candidates(node.name))}) "
+                         f"in its class or module")
                 findings.append(Finding(
                     path=ctx.relpath, line=node.lineno,
                     col=node.col_offset, rule="PAR001", severity="error",
                     symbol=symbol,
                     message=f"batch kernel {node.name} has no scalar "
-                            f"twin ({' / '.join(_twin_candidates(node.name))}) "
-                            f"in its class or module; add the reference "
+                            f"twin {where}; add the reference "
                             f"implementation, a parity_twin_overrides "
                             f"entry, or a justified parity_exempt entry"))
                 continue

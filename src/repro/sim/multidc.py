@@ -434,7 +434,9 @@ class MultiDCSystem:
             if vm_id in current:
                 raise ValueError(
                     f"VM {vm_id!r} already placed; use apply_schedule")
-            self.pm(pm_id)  # raises on unknown host
+            if self.pm(pm_id).failed:  # raises on unknown host
+                raise ValueError(
+                    f"cannot move VM {vm_id!r} onto failed PM {pm_id!r}")
         for vm_id, pm_id in placements.items():
             pm = self._pm_index[pm_id][1]
             if not pm.on:
@@ -456,7 +458,9 @@ class MultiDCSystem:
         for vm_id, pm_id in moves.items():
             if vm_id not in self.vms:
                 raise KeyError(f"unknown VM {vm_id!r} in schedule")
-            self.pm(pm_id)  # raises on unknown host
+            if self.pm(pm_id).failed:  # raises on unknown host
+                raise ValueError(
+                    f"cannot move VM {vm_id!r} onto failed PM {pm_id!r}")
 
         # Evict every mover first: simultaneous moves (swaps, rotations)
         # must not transiently overflow a host.

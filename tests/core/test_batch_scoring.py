@@ -1,9 +1,14 @@
-"""Differential tests: batch placement scoring == scalar reference.
+"""Differential tests: the round scorer == the scalar reference.
 
-`evaluate_candidates` / `score_candidates` must agree with a loop of scalar
-`placement_profit` calls within 1e-9 on every field, for every estimator,
-across randomized problems covering powered-off hosts, full hosts,
-zero-capacity hosts, migration cases and zero-load VMs.
+`RoundScorer.evaluate` must agree with a loop of scalar `placement_profit`
+calls within 1e-9 on every `BatchEvaluation` field, for every estimator
+(oracle, observed, ML, ML with risk), across randomized problems covering
+powered-off hosts, full hosts, zero-capacity hosts, migration cases,
+zero-load VMs and non-unit weights — both on the fresh batch and after
+each packing commit.  `RoundScorer.evaluate_released`, the warm-serving
+query that releases a VM from its host column in place, must agree the
+same way with `placement_profit` on host views that no longer hold the
+VM, and must leave the batch as it found it.
 """
 
 import numpy as np
@@ -14,9 +19,9 @@ from hypothesis import strategies as st
 from repro.core.estimators import (MLEstimator, ObservedEstimator,
                                    OracleEstimator)
 from repro.core.model import (HostBatch, HostView, ObjectiveWeights,
-                              SchedulingProblem, VMRequest,
-                              evaluate_candidates, placement_profit,
-                              score_candidates)
+                              RoundScorer, SchedulingProblem, VMRequest,
+                              placement_profit)
+from repro.ml.calibration import RiskConfig
 from repro.core.profit import PriceBook
 from repro.core.sla import PAPER_SLA, SLAContract
 from repro.sim.demand import LoadVector
@@ -28,6 +33,9 @@ TOL = 1e-9
 
 FIELDS = ("profit_eur", "revenue_eur", "energy_cost_eur",
           "migration_penalty_eur", "sla", "used_cpu", "migration_seconds")
+
+#: Non-unit weights: every term scaled, none dropped.
+SKEWED = ObjectiveWeights(revenue=1.3, energy=2.5, migration=0.5)
 
 
 def random_problem(rng, estimator, n_hosts=8, n_vms=10, weights=None,
@@ -96,26 +104,55 @@ def random_problem(rng, estimator, n_hosts=8, n_vms=10, weights=None,
         auto_power_off=auto_power_off)
 
 
-def assert_batch_matches_scalar(problem):
-    """Every (VM, host) pair: batch columns == scalar placement_profit."""
-    batch = HostBatch.of(problem.hosts)
+def copy_view(h):
+    return HostView(pm_id=h.pm_id, location=h.location,
+                    capacity=h.capacity, power_model=h.power_model,
+                    energy_price_eur_kwh=h.energy_price_eur_kwh,
+                    initially_on=h.initially_on,
+                    committed=dict(h.committed),
+                    committed_used_cpu=dict(h.committed_used_cpu))
+
+
+def assert_matches_scalar(evs, problem, request, views, req):
+    """Every column of ``evs`` == scalar ``placement_profit`` on ``views``."""
+    assert evs.pm_ids == tuple(h.pm_id for h in views)
+    assert evs.required == req
+    for i, host in enumerate(views):
+        ev = placement_profit(problem, request, host, required=req)
+        for name in FIELDS:
+            got = float(getattr(evs, name)[i])
+            want = getattr(ev, name)
+            assert got == pytest.approx(want, abs=TOL), (
+                f"{name} diverges for {request.vm_id} on {host.pm_id}: "
+                f"scorer {got!r} vs scalar {want!r}")
+        assert float(evs.given_cpu[i]) == pytest.approx(ev.given.cpu,
+                                                        abs=TOL)
+        assert float(evs.given_mem[i]) == pytest.approx(ev.given.mem,
+                                                        abs=TOL)
+        assert float(evs.given_bw[i]) == pytest.approx(ev.given.bw,
+                                                       abs=TOL)
+        assert evs.evaluation(i).fits == ev.fits
+
+
+def assert_scorer_matches_scalar(problem):
+    """Score every request, then commit it to its best host on both sides.
+
+    The scalar side packs into copies of the host views; the scorer only
+    updates its batch columns, so every later request also checks that
+    :meth:`RoundScorer.commit` kept them in step with the views.
+    """
+    views = [copy_view(h) for h in problem.hosts]
+    scorer = RoundScorer(problem, HostBatch(problem.hosts))
+    est = problem.estimator
     for request in problem.requests:
-        evs = evaluate_candidates(problem, request, batch)
-        for i, host in enumerate(problem.hosts):
-            ev = placement_profit(problem, request, host)
-            for name in FIELDS:
-                got = float(getattr(evs, name)[i])
-                want = getattr(ev, name)
-                assert got == pytest.approx(want, abs=TOL), (
-                    f"{name} diverges for {request.vm_id} on {host.pm_id}: "
-                    f"batch {got!r} vs scalar {want!r}")
-            assert float(evs.given_cpu[i]) == pytest.approx(ev.given.cpu,
-                                                            abs=TOL)
-            assert float(evs.given_mem[i]) == pytest.approx(ev.given.mem,
-                                                            abs=TOL)
-            assert float(evs.given_bw[i]) == pytest.approx(ev.given.bw,
-                                                           abs=TOL)
-            assert evs.evaluation(i).fits == ev.fits
+        req = est.required_resources(request.vm, request.aggregate_load,
+                                     float("inf"))
+        evs = scorer.evaluate(request, req)
+        assert_matches_scalar(evs, problem, request, views, req)
+        i = int(np.argmax(evs.profit_eur))
+        scorer.commit(i, request.vm_id, evs.required,
+                      float(evs.used_cpu[i]))
+        views[i].commit(request.vm_id, evs.required, float(evs.used_cpu[i]))
 
 
 class TestDifferentialOracle:
@@ -123,13 +160,13 @@ class TestDifferentialOracle:
     def test_random_problems(self, seed):
         rng = np.random.default_rng(seed)
         problem = random_problem(rng, OracleEstimator())
-        assert_batch_matches_scalar(problem)
+        assert_scorer_matches_scalar(problem)
 
     def test_auto_power_off_disabled(self):
         rng = np.random.default_rng(42)
         problem = random_problem(rng, OracleEstimator(),
                                  auto_power_off=False)
-        assert_batch_matches_scalar(problem)
+        assert_scorer_matches_scalar(problem)
 
     def test_degenerate_revenue_only_weights(self):
         """Follow-the-load mode: energy = migration = 0."""
@@ -138,7 +175,12 @@ class TestDifferentialOracle:
             rng, OracleEstimator(),
             weights=ObjectiveWeights(revenue=1.0, energy=0.0,
                                      migration=0.0))
-        assert_batch_matches_scalar(problem)
+        assert_scorer_matches_scalar(problem)
+
+    def test_non_unit_weights(self):
+        rng = np.random.default_rng(44)
+        problem = random_problem(rng, OracleEstimator(), weights=SKEWED)
+        assert_scorer_matches_scalar(problem)
 
 
 class TestDifferentialObserved:
@@ -148,14 +190,21 @@ class TestDifferentialObserved:
         est.refresh()
         rng = np.random.default_rng(seed)
         problem = random_problem(rng, est)
-        assert_batch_matches_scalar(problem)
+        assert_scorer_matches_scalar(problem)
 
     def test_unobserved_vms_fall_back_to_default(self, tiny_monitor):
         """Fresh (never-monitored) VMs take the default booking."""
         est = ObservedEstimator(monitor=tiny_monitor)
         rng = np.random.default_rng(7)
         problem = random_problem(rng, est)
-        assert_batch_matches_scalar(problem)
+        assert_scorer_matches_scalar(problem)
+
+    def test_non_unit_weights(self, tiny_monitor):
+        est = ObservedEstimator(monitor=tiny_monitor)
+        est.refresh()
+        rng = np.random.default_rng(45)
+        problem = random_problem(rng, est, weights=SKEWED)
+        assert_scorer_matches_scalar(problem)
 
 
 class TestDifferentialML:
@@ -164,80 +213,163 @@ class TestDifferentialML:
         est = MLEstimator(models=tiny_models, sla_mode=sla_mode)
         rng = np.random.default_rng(seed)
         problem = random_problem(rng, est, n_hosts=6, n_vms=6)
-        assert_batch_matches_scalar(problem)
+        assert_scorer_matches_scalar(problem)
+
+    @pytest.mark.parametrize("seed,sla_mode", [(14, "direct"), (15, "rt")])
+    def test_with_risk(self, seed, sla_mode, tiny_models):
+        """Conformal margins, demand head-room and the fit guard on."""
+        est = MLEstimator(models=tiny_models, sla_mode=sla_mode,
+                          risk=RiskConfig(coverage=0.9, spread_weight=2.0,
+                                          demand_coverage=0.9))
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, est, n_hosts=6, n_vms=6)
+        assert_scorer_matches_scalar(problem)
+
+    def test_non_unit_weights(self, tiny_models):
+        est = MLEstimator(models=tiny_models)
+        rng = np.random.default_rng(16)
+        problem = random_problem(rng, est, n_hosts=6, n_vms=6,
+                                 weights=SKEWED)
+        assert_scorer_matches_scalar(problem)
 
 
-class TestDucktypedEstimator:
-    def test_estimator_without_batch_methods_uses_scalar_fallback(self):
-        """Custom estimators need not implement the *_batch interface."""
-
-        class PlainEstimator:
-            inner = OracleEstimator()
-
-            def required_resources(self, vm, load, cpu_cap):
-                return self.inner.required_resources(vm, load, cpu_cap)
-
-            def pm_cpu(self, vm_cpus):
-                return self.inner.pm_cpu(vm_cpus)
-
-            def process_rt(self, vm, load, required, given, queue_len=0.0):
-                return self.inner.process_rt(vm, load, required, given,
-                                             queue_len)
-
-            def process_sla(self, vm, load, required, given, contract,
-                            queue_len=0.0):
-                return self.inner.process_sla(vm, load, required, given,
-                                              contract, queue_len)
-
-        rng = np.random.default_rng(10)
-        problem = random_problem(rng, PlainEstimator(), n_hosts=5, n_vms=5)
-        assert_batch_matches_scalar(problem)
+def placed_problem(rng, estimator, **kwargs):
+    """``random_problem`` with every VM whose current host is a
+    candidate committed there, as a live round's batch holds it."""
+    problem = random_problem(rng, estimator, **kwargs)
+    by_id = {h.pm_id: h for h in problem.hosts}
+    for request in problem.requests:
+        host = by_id.get(request.current_pm)
+        if host is not None:
+            req = estimator.required_resources(
+                request.vm, request.aggregate_load, float("inf"))
+            host.commit(request.vm_id, req, used_cpu=0.8 * req.cpu)
+    return problem
 
 
-class TestScoreCandidates:
-    def test_returns_profit_vector(self):
-        rng = np.random.default_rng(11)
-        problem = random_problem(rng, OracleEstimator())
-        request = problem.requests[0]
-        scores = score_candidates(problem, request, problem.hosts)
-        assert scores.shape == (len(problem.hosts),)
-        for i, host in enumerate(problem.hosts):
-            want = placement_profit(problem, request, host).profit_eur
-            assert float(scores[i]) == pytest.approx(want, abs=TOL)
-
-    def test_accepts_prebuilt_batch_and_required(self):
-        rng = np.random.default_rng(12)
-        problem = random_problem(rng, OracleEstimator())
-        request = problem.requests[1]
-        req = problem.estimator.required_resources(
-            request.vm, request.aggregate_load, float("inf"))
-        batch = HostBatch.of(problem.hosts)
-        scores = score_candidates(problem, request, batch, required=req)
-        want = score_candidates(problem, request, problem.hosts)
-        np.testing.assert_allclose(scores, want, atol=TOL)
+def released_views(problem, vm_id):
+    """Copies of the host views with ``vm_id`` released everywhere."""
+    views = [copy_view(h) for h in problem.hosts]
+    for view in views:
+        view.committed.pop(vm_id, None)
+        view.committed_used_cpu.pop(vm_id, None)
+    return views
 
 
-class TestIncrementalUpdates:
-    def test_commit_release_keeps_batch_in_sync(self):
-        """After commits/releases, batch columns equal rebuilt-from-scratch."""
+BATCH_COLUMNS = ("used_cpu", "used_mem", "used_bw", "committed_cpu_sum",
+                 "committed_count")
+
+
+def assert_released_matches_scalar(problem):
+    """Every ``evaluate_released`` query == scalar on released views,
+    and the shared batch is restored after each query."""
+    batch = HostBatch(problem.hosts)
+    scorer = RoundScorer(problem, batch)
+    est = problem.estimator
+    released = 0
+    for request in problem.requests:
+        req = est.required_resources(request.vm, request.aggregate_load,
+                                     float("inf"))
+        before = {name: getattr(batch, name).copy()
+                  for name in BATCH_COLUMNS}
+        hosts_before = list(batch.hosts)
+        evs = scorer.evaluate_released(request, req)
+        assert_matches_scalar(evs, problem, request,
+                              released_views(problem, request.vm_id), req)
+        for name in BATCH_COLUMNS:
+            np.testing.assert_array_equal(getattr(batch, name),
+                                          before[name])
+        assert batch.hosts == hosts_before
+        released += any(request.vm_id in h.committed
+                        for h in problem.hosts)
+    assert released, "no query released a placed VM"
+    return scorer
+
+
+class TestReleasedScoring:
+    @pytest.mark.parametrize("seed", [20, 21, 22])
+    def test_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        assert_released_matches_scalar(
+            placed_problem(rng, OracleEstimator()))
+
+    def test_observed(self, tiny_monitor):
+        est = ObservedEstimator(monitor=tiny_monitor, overbook=2.0)
+        est.refresh()
+        rng = np.random.default_rng(23)
+        assert_released_matches_scalar(placed_problem(rng, est))
+
+    @pytest.mark.parametrize("sla_mode", ["direct", "rt"])
+    def test_ml(self, sla_mode, tiny_models):
+        est = MLEstimator(models=tiny_models, sla_mode=sla_mode)
+        rng = np.random.default_rng(24)
+        assert_released_matches_scalar(
+            placed_problem(rng, est, n_hosts=6, n_vms=6))
+
+    def test_ml_with_risk(self, tiny_models):
+        est = MLEstimator(models=tiny_models,
+                          risk=RiskConfig(coverage=0.9, spread_weight=2.0,
+                                          demand_coverage=0.9))
+        rng = np.random.default_rng(25)
+        assert_released_matches_scalar(
+            placed_problem(rng, est, n_hosts=6, n_vms=6))
+
+    def test_non_unit_weights(self):
+        rng = np.random.default_rng(26)
+        assert_released_matches_scalar(
+            placed_problem(rng, OracleEstimator(), weights=SKEWED))
+
+    def test_auto_power_off_disabled(self):
+        """A host emptied by the release keeps running: the one-column
+        running mask must follow ``auto_power_off``."""
+        rng = np.random.default_rng(27)
+        assert_released_matches_scalar(
+            placed_problem(rng, OracleEstimator(), auto_power_off=False))
+
+    def test_scoring_after_release_matches_a_fresh_scorer(self):
+        """Released queries leave no trace: a later plain ``evaluate``
+        equals a scorer that never served one."""
+        rng = np.random.default_rng(28)
+        problem = placed_problem(rng, OracleEstimator())
+        used = assert_released_matches_scalar(problem)
+        fresh = RoundScorer(problem, HostBatch(problem.hosts))
+        for request in problem.requests:
+            req = problem.estimator.required_resources(
+                request.vm, request.aggregate_load, float("inf"))
+            a = used.evaluate(request, req)
+            b = fresh.evaluate(request, req)
+            for name in FIELDS:
+                np.testing.assert_array_equal(getattr(a, name),
+                                              getattr(b, name))
+
+
+class TestBatchColumns:
+    def test_commits_match_a_fresh_batch(self):
+        """After scorer commits, the batch columns equal a batch rebuilt
+        from host views holding the same commits."""
         rng = np.random.default_rng(13)
         problem = random_problem(rng, OracleEstimator())
-        batch = HostBatch.of(problem.hosts)
-        request = problem.requests[2]
-        req = problem.estimator.required_resources(
-            request.vm, request.aggregate_load, float("inf"))
-        batch.commit(3, request.vm_id, req, used_cpu=req.cpu)
-        fresh = HostBatch.of(problem.hosts)
+        batch = HostBatch(problem.hosts)
+        scorer = RoundScorer(problem, batch)
+        views = [copy_view(h) for h in problem.hosts]
+        for k, request in enumerate(problem.requests[:4]):
+            req = problem.estimator.required_resources(
+                request.vm, request.aggregate_load, float("inf"))
+            scorer.commit(k % 3, request.vm_id, req, used_cpu=req.cpu)
+            views[k % 3].commit(request.vm_id, req, used_cpu=req.cpu)
+        fresh = HostBatch(views)
         for name in ("used_cpu", "used_mem", "used_bw",
                      "committed_cpu_sum", "committed_count"):
             np.testing.assert_array_equal(getattr(batch, name),
                                           getattr(fresh, name))
-        batch.release(3, request.vm_id)
-        fresh = HostBatch.of(problem.hosts)
-        for name in ("used_cpu", "used_mem", "used_bw",
-                     "committed_cpu_sum", "committed_count"):
-            np.testing.assert_array_equal(getattr(batch, name),
-                                          getattr(fresh, name))
+
+    def test_scoring_leaves_host_views_untouched(self):
+        rng = np.random.default_rng(12)
+        problem = random_problem(rng, OracleEstimator())
+        before = [(h.pm_id, dict(h.committed)) for h in problem.hosts]
+        assert_scorer_matches_scalar(problem)
+        assert [(h.pm_id, dict(h.committed))
+                for h in problem.hosts] == before
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,7 +380,7 @@ class TestIncrementalUpdates:
        migrating=st.booleans())
 def test_property_single_pair(rps, cpu_time, resident_cpu, initially_on,
                               migrating):
-    """Hypothesis: scalar == batch over the raw parameter space."""
+    """Hypothesis: scalar == scorer over the raw parameter space."""
     host = HostView(pm_id="h0", location="BCN",
                     capacity=Resources(400.0, 4096.0, 125_000.0),
                     power_model=atom_power_model(),
@@ -264,8 +396,7 @@ def test_property_single_pair(rps, cpu_time, resident_cpu, initially_on,
     problem = SchedulingProblem(
         requests=[request], hosts=[host], network=paper_network_model(),
         prices=PriceBook(), estimator=OracleEstimator())
-    ev = placement_profit(problem, request, host)
-    evs = evaluate_candidates(problem, request, [host])
-    for name in FIELDS:
-        assert float(getattr(evs, name)[0]) == pytest.approx(
-            getattr(ev, name), abs=TOL)
+    req = problem.estimator.required_resources(
+        request.vm, request.aggregate_load, float("inf"))
+    evs = RoundScorer(problem, HostBatch([host])).evaluate(request, req)
+    assert_matches_scalar(evs, problem, request, [host], req)

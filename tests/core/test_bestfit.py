@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bestfit import build_problem, descending_best_fit
+from repro.core.bestfit import SchedulingRound, descending_best_fit
 from repro.core.estimators import OracleEstimator
 from repro.core.model import (HostView, ObjectiveWeights, SchedulingProblem,
                               VMRequest, check_schedule)
@@ -135,36 +135,37 @@ class TestAlgorithm:
 
 class TestBuildProblem:
     def test_snapshot_matches_system(self, tiny_system, tiny_trace):
-        problem = build_problem(tiny_system, tiny_trace, 0,
-                                OracleEstimator())
+        problem = SchedulingRound(tiny_system, tiny_trace, 0,
+                                  OracleEstimator()).problem()
         assert len(problem.requests) == 5
         assert len(problem.hosts) == 4
         for request in problem.requests:
             assert request.current_pm is not None
 
     def test_scope_vms(self, tiny_system, tiny_trace):
-        problem = build_problem(tiny_system, tiny_trace, 0,
-                                OracleEstimator(), scope_vms=["vm0"])
+        problem = SchedulingRound(tiny_system, tiny_trace, 0,
+                                  OracleEstimator()).problem(
+                                      scope_vms=["vm0"])
         assert [r.vm_id for r in problem.requests] == ["vm0"]
         # Other VMs stay committed on their hosts.
         committed = {vm for h in problem.hosts for vm in h.committed}
         assert "vm1" in committed and "vm0" not in committed
 
     def test_scope_pms(self, tiny_system, tiny_trace):
-        problem = build_problem(tiny_system, tiny_trace, 0,
-                                OracleEstimator(),
-                                scope_pms=["BCN-pm0", "BST-pm0"])
+        problem = SchedulingRound(tiny_system, tiny_trace, 0,
+                                  OracleEstimator()).problem(
+                                      scope_pms=["BCN-pm0", "BST-pm0"])
         assert {h.pm_id for h in problem.hosts} == {"BCN-pm0", "BST-pm0"}
 
     def test_queue_lens_forwarded(self, tiny_system, tiny_trace):
-        problem = build_problem(tiny_system, tiny_trace, 0,
-                                OracleEstimator(),
-                                queue_lens={"vm0": 42.0})
+        problem = SchedulingRound(tiny_system, tiny_trace, 0,
+                                  OracleEstimator(),
+                                  queue_lens={"vm0": 42.0}).problem()
         request = next(r for r in problem.requests if r.vm_id == "vm0")
         assert request.queue_len == 42.0
 
     def test_auto_power_off_propagated(self, tiny_system, tiny_trace):
         tiny_system.auto_power_off = False
-        problem = build_problem(tiny_system, tiny_trace, 0,
-                                OracleEstimator())
+        problem = SchedulingRound(tiny_system, tiny_trace, 0,
+                                  OracleEstimator()).problem()
         assert problem.auto_power_off is False

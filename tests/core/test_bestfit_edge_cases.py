@@ -1,23 +1,28 @@
-"""Batch/scalar parity edge cases in Best-Fit found by the PR-3 audit.
+"""Best-Fit edge cases: infeasible rounds, untraced VMs, empty problems.
 
-Two bugs are pinned here:
+Pinned here:
 
-* the batch packing loop silently assigned host 0 via ``np.argmax`` when
+* the packing loop once silently assigned host 0 via ``np.argmax`` when
   every candidate scored ``-inf``, where the scalar reference raises
   ``"no feasible host"``;
-* ``build_problem`` crashed with ``KeyError`` on a placed-but-untraced VM
-  (both stepping paths deliberately skip untraced VMs; the scheduler now
-  does the same).
+* problem building once crashed with ``KeyError`` on a placed-but-untraced
+  VM (stepping deliberately skips untraced VMs; the scheduler now does the
+  same);
+* an empty problem (zero-PM DC, or a shard whose hosts all failed, with
+  nothing to place) is a clean no-op round — only an actual request with
+  no candidate host anywhere is an error.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.bestfit import (SchedulingRound, build_problem,
+from bestfit_oracle import build_problem, reference_best_fit
+from repro.core.bestfit import (BestFitResult, SchedulingRound,
                                 descending_best_fit)
 from repro.core.estimators import OracleEstimator
 from repro.core.hierarchical import HierarchicalScheduler
-from repro.core.model import HostView, SchedulingProblem, VMRequest
+from repro.core.model import (HostBatch, HostView, RoundScorer,
+                              SchedulingProblem, VMRequest)
 from repro.core.profit import PriceBook
 from repro.core.sla import SLAContract
 from repro.sim.demand import LoadVector
@@ -48,27 +53,43 @@ def hostile_problem(n_hosts=3, current_pm=None, current_location=None):
 class TestAllInfRound:
     def test_scalar_raises_without_current_host(self):
         with pytest.raises(RuntimeError, match="no feasible host"):
-            descending_best_fit(hostile_problem(), batch=False)
+            reference_best_fit(hostile_problem())
 
     def test_batch_matches_scalar_raise(self):
         with pytest.raises(RuntimeError, match="no feasible host"):
-            descending_best_fit(hostile_problem(), batch=True)
+            descending_best_fit(hostile_problem())
 
     def test_both_paths_stay_put_with_current_host(self):
         batch = descending_best_fit(
-            hostile_problem(current_pm="pm1", current_location="BCN"),
-            batch=True)
-        scalar = descending_best_fit(
-            hostile_problem(current_pm="pm1", current_location="BCN"),
-            batch=False)
+            hostile_problem(current_pm="pm1", current_location="BCN"))
+        scalar = reference_best_fit(
+            hostile_problem(current_pm="pm1", current_location="BCN"))
         assert batch.assignment == scalar.assignment == {"vm0": "pm1"}
 
     def test_scores_really_were_all_inf(self):
         problem = hostile_problem()
-        from repro.core.model import score_candidates
-        scores = score_candidates(problem, problem.requests[0],
-                                  problem.hosts)
-        assert np.all(np.isneginf(scores))
+        request = problem.requests[0]
+        req = problem.estimator.required_resources(
+            request.vm, request.aggregate_load, float("inf"))
+        scorer = RoundScorer(problem, HostBatch(problem.hosts))
+        assert np.all(np.isneginf(scorer.evaluate(request, req).profit_eur))
+
+
+@pytest.fixture(scope="module")
+def config():
+    return ScenarioConfig(pms_per_dc=3, n_vms=10, n_intervals=12,
+                          scale=3.0, seed=5)
+
+
+@pytest.fixture(scope="module")
+def trace(config):
+    return multidc_trace(config)
+
+
+def stepped_system(config, trace):
+    system = multidc_system(config)
+    system.step(trace, 0)
+    return system
 
 
 class TestUntracedVMs:
@@ -86,26 +107,28 @@ class TestUntracedVMs:
         system.deploy("ghost", system.pms[0].pm_id)
         return system, trace
 
-    def test_build_problem_skips_untraced(self, system_and_trace):
+    def test_problem_skips_untraced(self, system_and_trace):
         system, trace = system_and_trace
-        problem = build_problem(system, trace, 1, OracleEstimator())
+        problem = SchedulingRound(system, trace, 1,
+                                  OracleEstimator()).problem()
         ids = {r.vm_id for r in problem.requests}
         assert "ghost" not in ids
         assert ids == set(system.vms) - {"ghost"}
 
     def test_untraced_vm_still_constrains_capacity(self, system_and_trace):
         system, trace = system_and_trace
-        problem = build_problem(system, trace, 1, OracleEstimator())
+        problem = SchedulingRound(system, trace, 1,
+                                  OracleEstimator()).problem()
         host = problem.host(system.pms[0].pm_id)
         assert "ghost" in host.committed
 
     def test_explicit_scope_tolerated(self, system_and_trace):
         system, trace = system_and_trace
-        problem = build_problem(system, trace, 1, OracleEstimator(),
-                                scope_vms=sorted(system.vms))
+        problem = SchedulingRound(system, trace, 1, OracleEstimator()
+                                  ).problem(scope_vms=sorted(system.vms))
         assert "ghost" not in {r.vm_id for r in problem.requests}
 
-    def test_round_snapshot_matches(self, system_and_trace):
+    def test_round_snapshot_matches_reference(self, system_and_trace):
         system, trace = system_and_trace
         round_ = SchedulingRound(system, trace, 1, OracleEstimator())
         problem = round_.problem()
@@ -113,20 +136,76 @@ class TestUntracedVMs:
         assert ([r.vm_id for r in problem.requests]
                 == [r.vm_id for r in ref.requests])
         fast = round_.pack(problem)
-        scalar = descending_best_fit(ref)
+        scalar = reference_best_fit(ref)
         assert fast.assignment == scalar.assignment
 
     def test_hierarchical_round_tolerates_untraced(self, system_and_trace):
         system, trace = system_and_trace
-        for snapshot in (True, False):
-            scheduler = HierarchicalScheduler(
-                estimator=OracleEstimator(), use_round_snapshot=snapshot)
-            assignment = scheduler(system, trace, 1)
-            assert "ghost" not in assignment
+        scheduler = HierarchicalScheduler(estimator=OracleEstimator())
+        assignment = scheduler(system, trace, 1)
+        assert "ghost" not in assignment
 
     def test_loads_override_reinstates_vm(self, system_and_trace):
         system, trace = system_and_trace
         override = {"ghost": {"BCN": LoadVector(5.0, 4000.0, 0.02)}}
-        problem = build_problem(system, trace, 1, OracleEstimator(),
-                                loads_override=override)
+        problem = SchedulingRound(system, trace, 1, OracleEstimator(),
+                                  loads_override=override).problem()
         assert "ghost" in {r.vm_id for r in problem.requests}
+
+
+class TestEmptyProblems:
+    def test_empty_problem_is_noop(self, config, trace):
+        system = stepped_system(config, trace)
+        problem = SchedulingRound(system, trace, 1, OracleEstimator()
+                                  ).problem(scope_vms=[], scope_pms=[])
+        assert not problem.hosts and not problem.requests
+        result = descending_best_fit(problem)
+        assert result == BestFitResult(assignment={}, evaluations={},
+                                       order=[])
+
+    def test_round_pack_empty_problem_is_noop(self, config, trace):
+        system = stepped_system(config, trace)
+        round_ = SchedulingRound(system, trace, 1, OracleEstimator())
+        result = round_.best_fit(scope_vms=[], scope_pms=[])
+        assert result.assignment == {}
+        assert result.evaluations == {}
+        assert result.order == []
+
+    def test_requests_without_hosts_still_error(self, config, trace):
+        system = stepped_system(config, trace)
+        vm = sorted(system.vms)[0]
+        round_ = SchedulingRound(system, trace, 1, OracleEstimator())
+        with pytest.raises(ValueError, match="no candidate hosts"):
+            descending_best_fit(round_.problem(scope_vms=[vm],
+                                               scope_pms=[]))
+        with pytest.raises(ValueError, match="no candidate hosts"):
+            round_.best_fit(scope_vms=[vm], scope_pms=[])
+
+    def test_all_hosts_failed_shard_with_no_requests(self, config, trace):
+        system = stepped_system(config, trace)
+        dc = system.datacenters[2]
+        refuge = [pm.pm_id for other in system.datacenters
+                  if other is not dc for pm in other.pms]
+        moves = {vm_id: refuge[i % len(refuge)] for i, vm_id in
+                 enumerate(sorted(dc.vm_ids))}
+        system.apply_schedule(moves)
+        for pm in dc.pms:
+            pm.fail()
+        round_ = SchedulingRound(system, trace, 1, OracleEstimator())
+        result = round_.best_fit(scope_vms=sorted(dc.vm_ids),
+                                 scope_pms=[pm.pm_id for pm in dc.pms])
+        assert result.assignment == {}
+
+    def test_zero_vm_dc_contributes_no_intra_problem(self, config, trace):
+        system = stepped_system(config, trace)
+        empty_dc = system.datacenters[0]
+        refuge = [pm.pm_id for dc in system.datacenters[1:]
+                  for pm in dc.pms]
+        system.apply_schedule({vm_id: refuge[i % len(refuge)]
+                               for i, vm_id in
+                               enumerate(sorted(empty_dc.vm_ids))})
+        assert not empty_dc.vm_ids
+        scheduler = HierarchicalScheduler(estimator=OracleEstimator())
+        scheduler(system, trace, 1)
+        assert (scheduler.last_round.intra_problems
+                == len(system.datacenters) - 1)

@@ -4,8 +4,8 @@ Three seeded scenarios (BF, BF-OB, BF-ML) pin down `descending_best_fit`'s
 assignments and total profit two ways:
 
 * **batch vs scalar** — the vectorized path must reproduce the scalar
-  reference loop exactly (the scalar loop is the pre-refactor code verbatim,
-  so this proves the refactor changes nothing);
+  reference loop of ``bestfit_oracle`` exactly (the pre-refactor code
+  verbatim, so this proves the refactor changes nothing);
 * **frozen goldens** — assignments and profit recorded from the scalar
   path, so *any* future change to the objective or the packing order is
   caught even if it breaks both paths identically.
@@ -16,7 +16,8 @@ and profits — not just a dict mismatch.
 
 import pytest
 
-from repro.core.bestfit import build_problem, descending_best_fit
+from bestfit_oracle import build_problem, reference_best_fit
+from repro.core.bestfit import SchedulingRound, descending_best_fit
 from repro.core.estimators import MLEstimator, ObservedEstimator
 from repro.experiments.scenario import multidc_system
 
@@ -32,12 +33,18 @@ GOLDEN = {
 GOLDEN_ORDER = ["vm3", "vm4", "vm2", "vm1", "vm0"]
 
 
-def scenario_problem(tiny_config, tiny_trace, estimator):
-    """Round 1 of the tiny seeded scenario (one warm-up step for demands)."""
+def scenario_system(tiny_config, tiny_trace, estimator):
+    """The tiny seeded scenario after one warm-up step (for demands)."""
     system = multidc_system(tiny_config)
     system.step(tiny_trace, 0)
     if isinstance(estimator, ObservedEstimator):
         estimator.refresh()
+    return system
+
+
+def scenario_problem(tiny_config, tiny_trace, estimator):
+    """Round 1 of the tiny seeded scenario, built by the reference."""
+    system = scenario_system(tiny_config, tiny_trace, estimator)
     return build_problem(system, tiny_trace, 1, estimator)
 
 
@@ -80,15 +87,15 @@ class TestVectorizationChangesNothing:
                                  tiny_monitor, tiny_models):
         est = make_estimator(variant, tiny_monitor, tiny_models)
         problem = scenario_problem(tiny_config, tiny_trace, est)
-        batch = descending_best_fit(problem, batch=True)
-        scalar = descending_best_fit(problem, batch=False)
+        batch = descending_best_fit(problem)
+        scalar = reference_best_fit(problem)
         assert_results_identical(batch, scalar)
 
     def test_matches_frozen_golden(self, variant, tiny_config, tiny_trace,
                                    tiny_monitor, tiny_models):
         est = make_estimator(variant, tiny_monitor, tiny_models)
-        problem = scenario_problem(tiny_config, tiny_trace, est)
-        result = descending_best_fit(problem)
+        system = scenario_system(tiny_config, tiny_trace, est)
+        result = SchedulingRound(system, tiny_trace, 1, est).best_fit()
         golden_assignment, golden_profit = GOLDEN[variant]
         assert result.order == GOLDEN_ORDER
         for vm_id in GOLDEN_ORDER:
@@ -112,8 +119,6 @@ class TestWithHysteresis:
                                                tiny_trace, tiny_monitor):
         est = ObservedEstimator(monitor=tiny_monitor)
         problem = scenario_problem(tiny_config, tiny_trace, est)
-        batch = descending_best_fit(problem, min_gain_eur=min_gain,
-                                    batch=True)
-        scalar = descending_best_fit(problem, min_gain_eur=min_gain,
-                                     batch=False)
+        batch = descending_best_fit(problem, min_gain_eur=min_gain)
+        scalar = reference_best_fit(problem, min_gain_eur=min_gain)
         assert_results_identical(batch, scalar)

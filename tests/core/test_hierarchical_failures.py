@@ -5,11 +5,16 @@ always sit on exactly one live host): orphans from a crashed PM are
 re-placed by the global round, a failed PM attracts no offers and no
 placements, and the narrow host-offer interface behaves at its edges
 (``max_offers=0``, every host nearly full).
+
+Every recovery test runs twice: on the production ``SchedulingRound``
+and on the oracle's object-walking builder and scalar loop, so each
+property is shown to belong to the scheduler, not to one round path.
 """
 
 import numpy as np
 import pytest
 
+from bestfit_oracle import oracle_rounds
 from repro.core.estimators import OracleEstimator
 from repro.core.hierarchical import HierarchicalScheduler
 from repro.sim.engine import run_simulation
@@ -30,18 +35,25 @@ def trace(config):
     return multidc_trace(config)
 
 
-@pytest.mark.parametrize("use_round_snapshot", [True, False])
+@pytest.fixture(params=[True, False])
+def production_round(request):
+    """True: rounds on ``SchedulingRound``; False: on the oracle."""
+    if request.param:
+        yield
+    else:
+        with oracle_rounds():
+            yield
+
+
+@pytest.mark.usefixtures("production_round")
 class TestFailureRecovery:
-    def test_orphans_replaced_by_global_round(self, config, trace,
-                                              use_round_snapshot):
+    def test_orphans_replaced_by_global_round(self, config, trace):
         system = multidc_system(config)
         system.step(trace, 0)
         victim = system.host_of(sorted(system.vms)[0])
         orphans = victim.fail()
         assert orphans
-        scheduler = HierarchicalScheduler(
-            estimator=OracleEstimator(),
-            use_round_snapshot=use_round_snapshot)
+        scheduler = HierarchicalScheduler(estimator=OracleEstimator())
         assignment = scheduler(system, trace, 1)
         for vm_id in orphans:
             assert vm_id in assignment
@@ -50,25 +62,20 @@ class TestFailureRecovery:
         # global round placed them.
         assert set(orphans) <= set(scheduler.last_round.movable_vms)
 
-    def test_failed_pm_attracts_no_placements(self, config, trace,
-                                              use_round_snapshot):
+    def test_failed_pm_attracts_no_placements(self, config, trace):
         system = multidc_system(config)
         system.step(trace, 0)
         victim = system.pms[0]
         victim.fail()
         scheduler = HierarchicalScheduler(
-            estimator=OracleEstimator(), sla_move_threshold=1.0,
-            use_round_snapshot=use_round_snapshot)
+            estimator=OracleEstimator(), sla_move_threshold=1.0)
         assignment = scheduler(system, trace, 1)
         assert victim.pm_id not in assignment.values()
         assert victim.pm_id not in scheduler.last_round.offered_hosts
 
-    def test_end_to_end_with_injector(self, config, trace,
-                                      use_round_snapshot):
+    def test_end_to_end_with_injector(self, config, trace):
         system = multidc_system(config)
-        scheduler = HierarchicalScheduler(
-            estimator=OracleEstimator(),
-            use_round_snapshot=use_round_snapshot)
+        scheduler = HierarchicalScheduler(estimator=OracleEstimator())
         injector = FailureInjector(rng=np.random.default_rng(4),
                                    fail_prob_per_interval=0.3,
                                    repair_intervals=2, max_down=2)
@@ -85,7 +92,7 @@ class TestFailureRecovery:
                     f"t={report.t}")
 
     def test_no_offers_and_no_current_hosts_skips_global_round(
-            self, config, trace, use_round_snapshot):
+            self, config, trace):
         """Orphans into a fleet with nothing to offer must not crash."""
         system = multidc_system(config)
         system.step(trace, 0)
@@ -93,8 +100,7 @@ class TestFailureRecovery:
         orphans = victim.fail()
         scheduler = HierarchicalScheduler(
             estimator=OracleEstimator(), min_free_cpu=1e12,
-            sla_move_threshold=0.0,
-            use_round_snapshot=use_round_snapshot)
+            sla_move_threshold=0.0)
         # min_free_cpu is unsatisfiable -> zero offers; with threshold 0
         # only the orphans are movable, and they hold no host -> the
         # global round has no candidates and is skipped, not crashed.

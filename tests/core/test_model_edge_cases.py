@@ -9,9 +9,10 @@ import pytest
 
 from repro.core.bestfit import descending_best_fit
 from repro.core.estimators import OracleEstimator
-from repro.core.model import (HostView, ObjectiveWeights, SchedulingProblem,
-                              VMRequest, check_schedule, evaluate_candidates,
-                              evaluate_schedule, placement_profit)
+from repro.core.model import (HostBatch, HostView, ObjectiveWeights,
+                              RoundScorer, SchedulingProblem, VMRequest,
+                              check_schedule, evaluate_schedule,
+                              placement_profit)
 from repro.core.profit import PriceBook
 from repro.core.sla import PAPER_SLA
 from repro.sim.demand import LoadVector
@@ -87,11 +88,15 @@ class TestZeroCapacityHost:
         assert ev.given == Resources(0.0, 0.0, 0.0)
         assert not ev.fits
         assert ev.sla == 0.0  # starved VM: RT blows past the contract
-        # Batch path survives the zero denominators too.
-        evs = evaluate_candidates(problem, request, [host])
+        # The round scorer survives the zero denominators too.
+        scorer = RoundScorer(problem, HostBatch([host]))
+        evs = scorer.evaluate(request, ev.required)
         assert float(evs.given_cpu[0]) == 0.0
-        assert float(evs.profit_eur[0]) == pytest.approx(ev.profit_eur,
-                                                         abs=1e-9)
+        for name in ("profit_eur", "revenue_eur", "energy_cost_eur",
+                     "migration_penalty_eur", "sla", "used_cpu",
+                     "migration_seconds"):
+            assert float(getattr(evs, name)[0]) == pytest.approx(
+                getattr(ev, name), abs=1e-9)
 
     def test_check_flags_overcommit_on_zero_capacity(self):
         host = make_host("dead", capacity=Resources(0.0, 0.0, 0.0))

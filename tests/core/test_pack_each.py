@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.bestfit import SchedulingRound
-from repro.core.estimators import (MLEstimator, ObservedEstimator,
-                                   OracleEstimator)
+from repro.core.estimators import MLEstimator, OracleEstimator
 from repro.experiments.scenario import multidc_system
 
 EV_FIELDS = ("profit_eur", "revenue_eur", "energy_cost_eur",
@@ -93,38 +92,6 @@ class TestPackEachParity:
         assert result.assignment == {}
         assert result.evaluations == {}
         assert result.order == []
-
-    def test_fallback_without_batch_interface(self, tiny_config,
-                                              tiny_trace, tiny_monitor):
-        """Estimators that fail the scorer probe take the reference path."""
-        est = ObservedEstimator(tiny_monitor)
-        est.refresh()
-
-        class NoBatch:
-            """Duck-typed estimator: scalar interface only."""
-
-            def required_resources(self, vm, agg, cap):
-                return est.required_resources(vm, agg, cap)
-
-            def process_sla(self, *args, **kwargs):
-                return est.process_sla(*args, **kwargs)
-
-            def __getattr__(self, name):
-                return getattr(est, name)
-
-            # Decline the vectorized PM CPU: RoundScorer must raise and
-            # pack_each must fall back.
-            def pm_cpu_batch(self, counts, sums):
-                return None
-
-        system = multidc_system(tiny_config)
-        warm = SchedulingRound(system, tiny_trace, 1, NoBatch())
-        assert warm._base_scorer() is None
-        ref_round = SchedulingRound(system, tiny_trace, 1, NoBatch())
-        results = warm.pack_each(sorted(system.vms))
-        for vm_id in sorted(system.vms):
-            ref = ref_round.pack(ref_round.problem(scope_vms=[vm_id]))
-            assert ref.assignment == results[vm_id].assignment
 
 
 class TestPackEachSharedState:

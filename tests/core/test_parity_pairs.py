@@ -7,21 +7,21 @@ pairs:
 * ``DemandModel.required_batch`` vs ``required_resources``, and
   ``DemandModel.pm_cpu_batch`` vs ``pm_cpu``;
 * ``pm_cpu_batch`` vs ``pm_cpu`` on every estimator (Oracle, Observed,
-  ML — and the ``Estimator`` base contract that None means "loop the
-  scalar");
+  ML — and the ``Estimator`` base contract that both are mandatory);
 * ``ModelSet.predict_requirements_batch`` vs ``predict_requirements``,
   ``predict_rt_batch`` vs ``predict_rt``, ``predict_sla_batch`` vs
   ``predict_sla``, ``predict_pm_cpu_batch`` vs ``predict_pm_cpu``;
-* the packing kernels: ``_best_fit_batch`` (the ``_pack_batch`` loop)
-  vs the scalar reference ``_best_fit_scalar``, driven through
-  ``descending_best_fit(batch=...)``.
+* the packing kernels: the ``_pack_batch`` loop (driven through
+  ``descending_best_fit``) vs the scalar reference ``best_fit_scalar`` of
+  the test oracle ``bestfit_oracle`` (driven through
+  ``reference_best_fit``).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.bestfit import (_best_fit_batch, _best_fit_scalar,
-                                _pack_batch, descending_best_fit)
+from bestfit_oracle import best_fit_scalar, reference_best_fit
+from repro.core.bestfit import _pack_batch, descending_best_fit
 from repro.core.estimators import (Estimator, MLEstimator,
                                    ObservedEstimator, OracleEstimator)
 from repro.core.model import (HostView, ObjectiveWeights,
@@ -97,10 +97,13 @@ class TestDemandModelPairs:
 
 
 class TestEstimatorPmCpuPairs:
-    def test_base_estimator_batch_is_optional(self):
-        # The base contract: None = "no aggregate formulation, loop the
-        # scalar pm_cpu" — the batch scorer's fallback path.
-        assert Estimator().pm_cpu_batch(*_counts_sums(HOST_VM_CPUS)) is None
+    def test_base_estimator_batch_is_mandatory(self):
+        # The base contract: the scorer calls only the batch interface,
+        # so an estimator that does not implement it fails loudly.
+        with pytest.raises(NotImplementedError):
+            Estimator().pm_cpu_batch(*_counts_sums(HOST_VM_CPUS))
+        with pytest.raises(NotImplementedError):
+            Estimator().pm_cpu([1.0])
 
     def test_oracle_pm_cpu_batch_matches_scalar(self):
         est = OracleEstimator()
@@ -177,7 +180,7 @@ class TestModelSetPairs:
 
 
 class TestPackingKernelPair:
-    """``_best_fit_batch`` / ``_pack_batch`` vs ``_best_fit_scalar``."""
+    """``_pack_batch`` vs the oracle's ``best_fit_scalar``."""
 
     def _problem(self):
         requests = [make_request("a", rps=40.0, sources=("BCN",)),
@@ -193,10 +196,8 @@ class TestPackingKernelPair:
     @pytest.mark.parametrize("min_gain", [0.0, 0.02])
     def test_batch_and_scalar_agree(self, min_gain):
         problem = self._problem()
-        batch = descending_best_fit(problem, min_gain_eur=min_gain,
-                                    batch=True)
-        scalar = descending_best_fit(problem, min_gain_eur=min_gain,
-                                     batch=False)
+        batch = descending_best_fit(problem, min_gain_eur=min_gain)
+        scalar = reference_best_fit(problem, min_gain_eur=min_gain)
         assert batch.order == scalar.order
         assert batch.assignment == scalar.assignment
         for vm_id, ev in batch.evaluations.items():
@@ -205,16 +206,15 @@ class TestPackingKernelPair:
 
     def test_kernels_are_the_documented_pair(self):
         # The registry contract the lint parity rule enforces: the batch
-        # half exists, the scalar reference exists, and the loop shared
-        # by both batch paths is _pack_batch.
-        assert callable(_best_fit_batch)
-        assert callable(_best_fit_scalar)
+        # loop exists in the package and its scalar reference in the
+        # test oracle.
+        assert callable(best_fit_scalar)
         assert callable(_pack_batch)
 
     def test_single_host_degenerate_case(self):
         requests = [make_request("only", rps=10.0)]
         hosts = [make_host("h0")]
         problem = make_problem(requests, hosts)
-        batch = descending_best_fit(problem, batch=True)
-        scalar = descending_best_fit(problem, batch=False)
+        batch = descending_best_fit(problem)
+        scalar = reference_best_fit(problem)
         assert batch.assignment == scalar.assignment == {"only": "h0"}

@@ -22,7 +22,7 @@ def scorer(tiny_config, tiny_trace):
     system = multidc_system(tiny_config)
     round_ = SchedulingRound(system, tiny_trace, 0, OracleEstimator())
     problem = round_.problem()
-    batch = HostBatch.of(problem.hosts)
+    batch = HostBatch(problem.hosts)
     return problem, batch, RoundScorer(problem, batch)
 
 

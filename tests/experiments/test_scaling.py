@@ -3,8 +3,7 @@
 import pytest
 
 from repro.experiments.scaling import (ScalingPoint, format_fleet_simulation,
-                                       format_large_fleet, format_scaling,
-                                       run_fleet_simulation, run_large_fleet,
+                                       format_scaling, run_fleet_simulation,
                                        run_scaling, synthetic_fleet_problem,
                                        synthetic_fleet_system)
 
@@ -59,19 +58,6 @@ class TestSyntheticFleet:
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError):
             synthetic_fleet_problem(n_hosts=0, n_vms=5)
-
-
-class TestLargeFleet:
-    def test_small_round_trip(self):
-        """Tiny sizes here; the benchmark suite runs the 500x200 story."""
-        result = run_large_fleet(n_hosts=10, n_vms=15, seed=4)
-        assert result.assignments_match
-        assert result.profit_abs_diff < 1e-9
-        assert result.batch_ms > 0.0
-        assert result.scalar_ms > 0.0
-        text = format_large_fleet(result)
-        assert "speedup" in text
-        assert "match" in text
 
 
 class TestSyntheticFleetSystem:

@@ -277,8 +277,7 @@ class TestRegistry:
     def test_registry_populated(self):
         for name in ("table1", "table2", "table3", "figure4", "figure5",
                      "figure6", "figure7", "figure8", "delocation",
-                     "harvest_ablation", "scaling", "large_fleet",
-                     "fleet_sim", "hierarchical_fleet",
+                     "harvest_ablation", "scaling", "fleet_sim",
                      "flash_crowd_failures", "follow_the_sun_8dc",
                      "ml_large_fleet"):
             assert name in REGISTRY, name

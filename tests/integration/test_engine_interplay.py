@@ -4,7 +4,7 @@ interacting in one loop, plus the loads_override scheduling path."""
 import numpy as np
 import pytest
 
-from repro.core.bestfit import build_problem
+from repro.core.bestfit import SchedulingRound
 from repro.core.estimators import OracleEstimator
 from repro.core.policies import oracle_scheduler
 from repro.sim.demand import LoadVector
@@ -70,15 +70,17 @@ class TestLoadsOverride:
         tiny_system.step(tiny_trace, 0)
         fake = {vm: {"BCN": LoadVector(99.0, 1000.0, 0.05)}
                 for vm in tiny_system.vms}
-        problem = build_problem(tiny_system, tiny_trace, 1,
-                                OracleEstimator(), loads_override=fake)
+        problem = SchedulingRound(tiny_system, tiny_trace, 1,
+                                  OracleEstimator(),
+                                  loads_override=fake).problem()
         for request in problem.requests:
             assert request.aggregate_load.rps == 99.0
 
     def test_partial_override(self, tiny_system, tiny_trace):
         fake = {"vm0": {"BCN": LoadVector(99.0, 1000.0, 0.05)}}
-        problem = build_problem(tiny_system, tiny_trace, 0,
-                                OracleEstimator(), loads_override=fake)
+        problem = SchedulingRound(tiny_system, tiny_trace, 0,
+                                  OracleEstimator(),
+                                  loads_override=fake).problem()
         by_id = {r.vm_id: r for r in problem.requests}
         assert by_id["vm0"].aggregate_load.rps == 99.0
         assert by_id["vm1"].aggregate_load.rps != 99.0

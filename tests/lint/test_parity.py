@@ -1,10 +1,12 @@
 """Tmp-repo fixtures for the parity-pair registry (PAR001-003)."""
 
 import textwrap
+from dataclasses import replace
 
 import pytest
 
 from repro.lint import run_lint
+from repro.lint.config import DEFAULT_CONFIG
 
 
 def make_repo(tmp_path, module_src, test_src=None, doc=None):
@@ -81,6 +83,46 @@ class TestPAR001MissingTwin:
                 assert model.predict_batch([1]) == [model.predict(1)]
         """)
         assert lint_repo(root) == []
+
+
+class TestOracleTwins:
+    """``parity_twin_overrides`` values of the form
+    ``tests/<path>.py::<name>`` point a kernel at a test oracle."""
+
+    KERNEL = """
+        def pack_batch(xs):
+            return xs
+    """
+    CONFIG = replace(DEFAULT_CONFIG, parity_twin_overrides={
+        "pkg.kernels.pack_batch": "tests/oracle.py::pack_scalar"})
+
+    def lint_with_oracle(self, tmp_path, oracle_src):
+        root = make_repo(tmp_path, self.KERNEL, test_src="""
+            from oracle import pack_scalar
+            from pkg.kernels import pack_batch
+
+            def test_parity():
+                assert pack_batch([1]) == pack_scalar([1])
+        """)
+        (root / "tests" / "oracle.py").write_text(
+            textwrap.dedent(oracle_src))
+        return run_lint(paths=[root / "src" / "pkg"], root=root,
+                        config=self.CONFIG)
+
+    def test_oracle_defining_the_twin_passes(self, tmp_path):
+        assert self.lint_with_oracle(tmp_path, """
+            def pack_scalar(xs):
+                return list(xs)
+        """) == []
+
+    def test_oracle_lacking_the_twin_flagged(self, tmp_path):
+        findings = self.lint_with_oracle(tmp_path, """
+            def other_helper(xs):
+                # Mentions pack_scalar only in a comment.
+                return xs
+        """)
+        assert rules(findings) == ["PAR001"]
+        assert "tests/oracle.py::pack_scalar" in findings[0].message
 
 
 class TestPAR002MissingDifferentialTest:

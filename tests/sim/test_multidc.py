@@ -186,6 +186,36 @@ class TestApplySchedule:
         with pytest.raises(KeyError):
             system.apply_schedule({"vm0": "nope"})
 
+    def test_failed_target_rejected_before_mutation(self):
+        """A schedule moving a VM onto a failed host raises and leaves
+        placement, grants, power states and pending blackouts as they
+        were (the movers used to be evicted first and then lost)."""
+        from repro.experiments.scaling import synthetic_hierarchical_fleet
+        system, trace = synthetic_hierarchical_fleet(
+            n_dcs=2, pms_per_dc=3, n_vms=8, sources_per_vm=2)
+        system.step(trace, 0)
+        placement = system.placement()
+        mover = sorted(placement)[0]
+        # A pending blackout from an earlier, valid move.
+        other = next(pm.pm_id for pm in system.pms
+                     if pm.pm_id != placement[mover])
+        system.apply_schedule({mover: other})
+        victim = next(pm for pm in system.pms
+                      if pm.pm_id != other and pm.n_vms)
+        victim.fail()
+
+        def state():
+            return (system.placement(),
+                    {pm.pm_id: dict(pm.granted) for pm in system.pms},
+                    {pm.pm_id: (pm.on, pm.failed) for pm in system.pms},
+                    dict(system._pending_blackout_s))
+
+        before = state()
+        assert before[3]
+        with pytest.raises(ValueError, match="failed PM"):
+            system.apply_schedule({mover: victim.pm_id})
+        assert state() == before
+
 
 class TestStep:
     def test_report_totals_consistent(self):

@@ -122,7 +122,7 @@ class TestScenariosCLI:
 
     def test_intervals_on_measurement_without_knob_fails_cleanly(
             self, capsys):
-        assert main(["scenarios", "run", "large_fleet",
+        assert main(["scenarios", "run", "scaling",
                      "--intervals", "4"]) == 2
         assert "no --intervals knob" in capsys.readouterr().err
 
