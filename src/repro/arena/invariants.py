@@ -30,8 +30,8 @@ equals the recomputed per-interval sums.
 test suites live here as importable helpers
 (:func:`assert_pack_results_equal`, :func:`assert_problems_equal`,
 :func:`assert_system_states_match`) plus :func:`check_spec_parity`,
-which replays a scenario spec's physics on both stepping paths and
-returns the worst report divergence.
+which replays a scenario spec's physics through the array stepper and
+the scalar reference loop and returns the worst report divergence.
 
 **Cross-shard conservation** (:func:`check_shard_conservation`) — the
 sharded stepping path (:class:`repro.sim.sharding.ShardedFleet`) must
@@ -498,22 +498,23 @@ def assert_system_states_match(sys_a, sys_b,
 
 
 def check_spec_parity(spec, horizon: Optional[int] = None) -> float:
-    """Replay a scenario spec's physics on both stepping paths.
+    """Replay a scenario spec's physics on the array and scalar steppers.
 
     Builds the spec's fleet, workload, tariffs and failure schedule
-    twice and runs them without a scheduler — once through the scalar
-    reference loop, once through the array path — and returns the worst
+    twice and runs them without a scheduler — once through
+    :func:`~repro.sim.engine.run_simulation`, whose intervals are played
+    by :meth:`MultiDCSystem.step`, once through the scalar reference
+    loop :meth:`MultiDCSystem._step_scalar` in the same interval order
+    (tariffs, then failures, then the step) — and returns the worst
     :func:`~repro.sim.fleet.report_max_abs_diff` across the run.  A
-    value above :data:`PARITY_TOL` means the batch/scalar contract broke
+    value above :data:`PARITY_TOL` means the array/scalar contract broke
     on this scenario shape.  ``spec`` only needs the engine's fleet/
     workload/tariffs/failures/horizon fields (variants are ignored: the
     parity under audit is the physics substrate every variant shares).
     """
     from ..sim.engine import run_simulation
 
-    horizon = spec.horizon if horizon is None else horizon
-    histories = []
-    for batch in (False, True):
+    def build():
         if spec.fleet is None:
             raise ValueError("spec has no fleet")
         system, fleet_trace = spec.fleet.build()
@@ -525,11 +526,19 @@ def check_spec_parity(spec, horizon: Optional[int] = None) -> float:
                 system, trace.n_intervals, trace.interval_s)
         injector = (spec.failures.build() if spec.failures is not None
                     else None)
-        histories.append(run_simulation(system, trace,
-                                        failure_injector=injector,
-                                        stop=horizon, batch=batch))
-    scalar, fast = histories
-    assert len(scalar) == len(fast)
+        return system, trace, injector
+
+    horizon = spec.horizon if horizon is None else horizon
+    system, trace, injector = build()
+    fast = run_simulation(system, trace, failure_injector=injector,
+                          stop=horizon)
+    system, trace, injector = build()
+    scalar = []
+    for t in range(len(fast)):
+        system.apply_tariffs(t)
+        if injector is not None:
+            injector.step(system, t)
+        scalar.append(system._step_scalar(trace, t, migrations=[]))
     return max((report_max_abs_diff(a, b)
-                for a, b in zip(scalar.reports, fast.reports)),
+                for a, b in zip(scalar, fast.reports)),
                default=0.0)

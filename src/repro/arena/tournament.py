@@ -225,7 +225,8 @@ class TournamentResult:
     violations: List[str] = field(default_factory=list)
     #: policy -> draw indices skipped (e.g. exact above its VM ceiling).
     skipped: Dict[str, List[int]] = field(default_factory=dict)
-    #: draw index -> worst batch/scalar report divergence.
+    #: draw index -> worst report divergence between the array stepper
+    #: and the scalar reference loop (:func:`check_spec_parity`).
     parity: Dict[int, float] = field(default_factory=dict)
 
     # -- ranking --------------------------------------------------------------

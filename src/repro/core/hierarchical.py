@@ -73,10 +73,6 @@ class HierarchicalScheduler:
         staying put by at least this many EUR to happen.  Defaults to
         :data:`DEFAULT_MIN_GAIN_EUR` (churn damping); pass ``0.0`` to
         opt out.
-    skip_well_consolidated:
-        When True, intra-DC rounds skip VMs whose current placement already
-        fits and scores above the threshold (the paper's "do not include
-        VMs and PMs that are already performing well").
 
     Each round snapshots the system once as a
     :class:`~repro.core.bestfit.SchedulingRound`; every intra-DC and
@@ -89,7 +85,6 @@ class HierarchicalScheduler:
     max_offers_per_dc: int = 2
     min_free_cpu: float = 50.0
     min_gain_eur: float = DEFAULT_MIN_GAIN_EUR
-    skip_well_consolidated: bool = False
     last_round: RoundDiagnostics = field(default_factory=RoundDiagnostics)
 
     def __post_init__(self) -> None:

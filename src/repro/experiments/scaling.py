@@ -32,8 +32,7 @@ from .scenario import ScenarioConfig, multidc_system, multidc_trace
 
 __all__ = ["ScalingPoint", "ScalingResult", "run_scaling", "format_scaling",
            "synthetic_fleet_problem", "synthetic_fleet_system",
-           "FleetSimResult", "run_fleet_simulation",
-           "format_fleet_simulation", "synthetic_hierarchical_fleet"]
+           "synthetic_hierarchical_fleet"]
 
 
 @dataclass(frozen=True)
@@ -208,59 +207,6 @@ def synthetic_fleet_system(n_hosts: int = 200, n_vms: int = 500,
     return system, trace
 
 
-@dataclass(frozen=True)
-class FleetSimResult:
-    """Batch vs scalar cost of one full large-fleet simulation."""
-
-    n_vms: int
-    n_pms: int
-    n_intervals: int
-    batch_s: float
-    scalar_s: float
-    max_abs_diff: float
-    mean_sla: float
-    total_profit_eur: float
-
-    @property
-    def speedup(self) -> float:
-        if self.batch_s <= 0:
-            return float("inf")
-        return self.scalar_s / self.batch_s
-
-
-def _measure_fleet_simulation(n_hosts: int = 200, n_vms: int = 500,
-                              n_intervals: int = 96,
-                              seed: int = 7) -> FleetSimResult:
-    """Run the large-fleet scenario end-to-end, batch and scalar.
-
-    Both runs use a static placement (``scheduler=None``) so the measured
-    cost is the stepping path itself.  Returns wall-clock for
-    each path and the equivalence evidence: the largest absolute
-    difference across every field of every interval report
-    (:func:`repro.sim.fleet.report_max_abs_diff`).
-    """
-    from ..sim.engine import run_simulation
-    from ..sim.fleet import report_max_abs_diff
-
-    def run(batch: bool):
-        system, trace = synthetic_fleet_system(
-            n_hosts=n_hosts, n_vms=n_vms, n_intervals=n_intervals,
-            seed=seed)
-        t0 = time.perf_counter()
-        history = run_simulation(system, trace, batch=batch)
-        return time.perf_counter() - t0, history
-
-    batch_s, batch_hist = run(batch=True)
-    scalar_s, scalar_hist = run(batch=False)
-    diff = max(report_max_abs_diff(rb, rs) for rb, rs in
-               zip(batch_hist.reports, scalar_hist.reports))
-    summary = batch_hist.summary()
-    return FleetSimResult(
-        n_vms=n_vms, n_pms=n_hosts, n_intervals=n_intervals,
-        batch_s=batch_s, scalar_s=scalar_s, max_abs_diff=diff,
-        mean_sla=summary.avg_sla, total_profit_eur=summary.profit_eur)
-
-
 def synthetic_hierarchical_fleet(n_dcs: int = 8, pms_per_dc: int = 56,
                                  n_vms: int = 3000, n_intervals: int = 6,
                                  sources_per_vm: int = 8, seed: int = 11,
@@ -337,11 +283,10 @@ def synthetic_hierarchical_fleet(n_dcs: int = 8, pms_per_dc: int = 56,
 
 # -- engine integration: the measurements as analysis-only specs --------------
 #
-# The scaling experiments time schedulers (or batch vs scalar stepping of
-# the *same* computation), so they do not decompose into engine variants;
-# they plug into the engine as analysis hooks instead, which makes them
-# registry-visible (``scenarios run scaling``) with the measurement code
-# untouched.
+# The scaling experiment times schedulers, so it does not decompose into
+# engine variants; it plugs into the engine as an analysis hook instead,
+# which makes it registry-visible (``scenarios run scaling``) with the
+# measurement code untouched.
 
 def _make_measurement(name, description, measure, fmt, defaults):
     from .engine import (ANALYSES, REGISTRY, ScenarioSpec, ScenarioResult,
@@ -385,35 +330,12 @@ scaling_spec, _run_scaling = _make_measurement(
     "cost", _measure_scaling, lambda r: format_scaling(r),
     dict(sizes=((5, 1), (10, 2), (20, 4), (40, 8)), seed=23))
 
-fleet_sim_spec, _run_fleet_simulation = _make_measurement(
-    "fleet_sim", "Batch vs scalar stepping of the 500-VM fleet "
-    "simulation", _measure_fleet_simulation,
-    lambda r: format_fleet_simulation(r),
-    dict(n_hosts=200, n_vms=500, n_intervals=96, seed=7))
 
 def run_scaling(sizes: Sequence[Tuple[int, int]] = ((5, 1), (10, 2),
                                                     (20, 4), (40, 8)),
                 seed: int = 23) -> ScalingResult:
     """Measure per-round cost at each size (via the scenario engine)."""
     return _run_scaling(sizes=tuple(sizes), seed=seed)
-
-
-def run_fleet_simulation(n_hosts: int = 200, n_vms: int = 500,
-                         n_intervals: int = 96,
-                         seed: int = 7) -> FleetSimResult:
-    """Run the large-fleet scenario end-to-end (via the scenario engine)."""
-    return _run_fleet_simulation(n_hosts=n_hosts, n_vms=n_vms,
-                                 n_intervals=n_intervals, seed=seed)
-
-
-def format_fleet_simulation(result: FleetSimResult) -> str:
-    return (
-        f"Full simulation ({result.n_vms} VMs x {result.n_pms} PMs x "
-        f"{result.n_intervals} intervals): batch {result.batch_s:.2f} s, "
-        f"scalar {result.scalar_s:.2f} s, speedup {result.speedup:.1f}x, "
-        f"max |report diff| = {result.max_abs_diff:.2e} "
-        f"(avg SLA {result.mean_sla:.3f}, "
-        f"profit {result.total_profit_eur:.2f} EUR)")
 
 
 def format_scaling(result: ScalingResult) -> str:
@@ -431,5 +353,3 @@ def format_scaling(result: ScalingResult) -> str:
 
 if __name__ == "__main__":
     print(format_scaling(run_scaling()))
-    print()
-    print(format_fleet_simulation(run_fleet_simulation()))

@@ -10,7 +10,9 @@ Sub-modules:
 * :mod:`~repro.sim.network` — latency matrices (Table II), migration timing.
 * :mod:`~repro.sim.datacenter` — :class:`DataCenter` and Table II tariffs.
 * :mod:`~repro.sim.multidc` — :class:`MultiDCSystem` global state machine.
-* :mod:`~repro.sim.fleet` — array-backed batch stepping (:class:`FleetState`).
+* :mod:`~repro.sim.fleet` — array stepping (:class:`FleetState`,
+  :func:`step_range`).
+* :mod:`~repro.sim.sharding` — per-DC stepping (:class:`ShardedFleet`).
 * :mod:`~repro.sim.monitor` — noisy observation layer (training data).
 * :mod:`~repro.sim.engine` — interval loop, :class:`RunHistory`.
 """
@@ -19,7 +21,7 @@ from .datacenter import PAPER_ENERGY_PRICES, DataCenter, build_datacenter
 from .demand import DemandModel, LoadVector
 from .engine import RunHistory, RunSummary, run_simulation
 from .failures import FailureEvent, FailureInjector
-from .fleet import FleetState, fleet_step
+from .fleet import FleetState, step_range
 from .machines import PhysicalMachine, Resources, VirtualMachine
 from .monitor import Monitor, PMSample, VMSample
 from .multidc import (IntervalReport, MigrationEvent, MultiDCSystem,
@@ -42,7 +44,7 @@ __all__ = [
     "DemandModel", "LoadVector",
     "RunHistory", "RunSummary", "run_simulation",
     "FailureEvent", "FailureInjector",
-    "FleetState", "fleet_step",
+    "FleetState", "step_range",
     "PhysicalMachine", "Resources", "VirtualMachine",
     "Monitor", "PMSample", "VMSample",
     "IntervalReport", "MigrationEvent", "MultiDCSystem",

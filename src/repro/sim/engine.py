@@ -3,7 +3,10 @@
 The paper runs 24-hour experiments with a scheduling round every 10 minutes.
 :func:`run_simulation` is that loop: each interval, optionally invoke the
 scheduler, execute its placement (migrations included), then play the
-interval's load and account energy, SLA and money.
+interval's load and account energy, SLA and money.  An interval is played
+by :meth:`~repro.sim.multidc.MultiDCSystem.step`, or per datacenter by
+:class:`~repro.sim.sharding.ShardedFleet` with ``sharded=True``; both run
+the one array kernel :func:`repro.sim.fleet.step_range`.
 
 The per-interval :class:`~repro.sim.multidc.IntervalReport` objects are kept
 in a :class:`RunHistory`, which exposes the aggregate series the paper plots
@@ -177,7 +180,6 @@ def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
                    failure_injector=None,
                    start: int = 0,
                    stop: Optional[int] = None,
-                   batch: bool = True,
                    sink=None,
                    keep_reports: bool = True,
                    sharded: bool = False) -> RunHistory:
@@ -196,10 +198,6 @@ def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
         Optional :class:`repro.sim.failures.FailureInjector`; stepped before
         the scheduler each interval, so orphaned VMs can be re-placed in the
         same round.
-    batch:
-        Step intervals through the array-backed fleet path (default; see
-        :mod:`repro.sim.fleet`) or the scalar per-VM reference loop.  Both
-        produce reports that agree within 1e-9 on every field.
     sink:
         Optional :class:`~repro.sim.metrics.MetricsSink`; receives one
         :class:`~repro.sim.metrics.IntervalMetrics` per interval as it is
@@ -210,19 +208,18 @@ def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
         history is then empty (use the sink's ``summary()``/``series()``).
         Requires ``sink``.
     sharded:
-        Step intervals per-DC through :class:`~repro.sim.sharding`
-        :class:`~repro.sim.sharding.ShardedFleet` (requires ``batch``).
+        Step intervals per DC through
+        :class:`~repro.sim.sharding.ShardedFleet` instead of
+        :meth:`MultiDCSystem.step` (the same kernel, one call per DC).
         With ``keep_reports=False``, no monitor and a sink, each interval
         reduces straight to KPIs with no per-VM boxing at all; otherwise
-        the sharded path builds full reports (within 1e-9 of the
-        monolithic path).
+        the sharded path builds full reports whose per-VM and per-PM
+        statistics equal the monolithic ones.
     """
     if schedule_every < 1:
         raise ValueError("schedule_every must be >= 1")
     if not keep_reports and sink is None:
         raise ValueError("keep_reports=False requires a sink")
-    if sharded and not batch:
-        raise ValueError("sharded stepping requires batch=True")
     stop = trace.n_intervals if stop is None else stop
     if not 0 <= start <= stop <= trace.n_intervals:
         raise ValueError(f"bad range [{start}, {stop})")
@@ -250,8 +247,7 @@ def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
                                                  migrations=migrations))
                 continue
         else:
-            report = system.step(trace, t, migrations=migrations,
-                                 batch=batch)
+            report = system.step(trace, t, migrations=migrations)
         if monitor is not None:
             monitor.observe(report)
         if sink is not None:

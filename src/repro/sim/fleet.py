@@ -1,10 +1,8 @@
-"""Array-backed interval stepping for large fleets.
+"""Array-backed interval stepping.
 
-:meth:`repro.sim.multidc.MultiDCSystem.step` historically walked per-VM and
-per-PM Python loops — one demand-model call, one RT-model call and one SLA
-aggregation per VM, every interval.  After PR 1 vectorized placement
-scoring, those loops dominated simulation wall-clock.  This module is the
-batch twin of the stepping path:
+:meth:`repro.sim.multidc.MultiDCSystem.step` and the per-DC
+:class:`~repro.sim.sharding.ShardedFleet` both play an interval through
+the one kernel of this module:
 
 * :class:`FleetState` snapshots everything *static* about a (system, trace)
   pair as aligned numpy arrays: stacked per-(VM, source) load series,
@@ -13,43 +11,44 @@ batch twin of the stepping path:
   location x source latency matrix.  It is built once and cached on the
   system (:attr:`MultiDCSystem._fleet_cache`), so stepping a 96-interval
   run pays the snapshot cost once.
-* :func:`fleet_step` plays one interval entirely in array form: demands via
+* :func:`step_range` plays one interval on a contiguous PM range
+  ``[lo, hi)`` of the snapshot: demands via
   :meth:`DemandModel.required_batch`, grants via the segmented
   :func:`~repro.sim.multidc.proportional_allocation_batch`, response times
   via :meth:`ResponseTimeModel.process_rt_arrays`, per-source SLA via
-  grouped ``bincount`` reductions, and power/energy/money via per-PM
-  segment sums.  Per-VM Python objects are materialized once at the end,
-  straight from the result arrays, to build the same
-  :class:`~repro.sim.multidc.IntervalReport` the scalar path returns.
+  grouped ``bincount`` reductions, and power/energy/money per PM.  It
+  writes the grants back into each :class:`PhysicalMachine`, records the
+  observed demands and consumes pending migration blackouts exactly like
+  the scalar loop, so schedulers see an identical system afterwards.
+  ``step`` is one range covering every PM; the sharded facade is one
+  range per datacenter.  Per-VM and per-PM statistics are boxed once,
+  straight from the result arrays, only when a report is wanted.
 
-Contract (same style as PR 1's batch scoring): the scalar path
-(``step(batch=False)``) stays the executable reference, and the batch path
-agrees with it within 1e-9 on every ``IntervalReport`` field — including
-every per-VM and per-PM statistic.  Differential tests in
-``tests/sim/test_fleet_step.py`` enforce this.
-
-Mutation side-effects are preserved: the batch step writes the computed
-grants back into each :class:`PhysicalMachine`, refreshes
-``system.last_demands`` and consumes pending migration blackouts exactly
-like the scalar loop, so schedulers see an identical system afterwards.
+Contract: the scalar loop :meth:`MultiDCSystem._step_scalar` is the
+executable reference, and ``step`` agrees with it within 1e-9 on every
+:class:`~repro.sim.multidc.IntervalReport` field — including every per-VM
+and per-PM statistic.  ``tests/sim/test_fleet_step.py`` checks this;
+:func:`repro.arena.invariants.check_spec_parity` replays it on every
+tournament draw.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from .demand import LoadVector
 from .machines import Resources
-from .multidc import (IntervalReport, MigrationEvent, MultiDCSystem,
-                      PMIntervalStats, VMIntervalStats,
-                      proportional_allocation_batch)
-from ..core.profit import ProfitBreakdown, migration_penalty_eur
+from .multidc import (IntervalReport, MultiDCSystem, PMIntervalStats,
+                      VMIntervalStats, proportional_allocation_batch)
+from ..core.profit import migration_penalty_eur
 from ..core.sla import sla_fulfillment
 from ..workload.traces import WorkloadTrace
 
-__all__ = ["FleetState", "fleet_step", "report_max_abs_diff"]
+__all__ = ["FleetState", "RangeStep", "step_range", "unplaced_traced",
+           "unplaced_vm_stats", "report_max_abs_diff"]
 
 
 def report_max_abs_diff(a: IntervalReport, b: IntervalReport) -> float:
@@ -129,7 +128,7 @@ class FleetState:
     array describes ``pms[i]`` (datacenter order, as in
     :attr:`MultiDCSystem.pms`).  Time-varying state — placement, power
     flags, tariffs, pending blackouts — is deliberately *not* snapshotted;
-    :func:`fleet_step` reads it from the live system every interval.
+    :func:`step_range` reads it from the live system every interval.
     """
 
     def __init__(self, system: MultiDCSystem, trace: WorkloadTrace) -> None:
@@ -275,7 +274,7 @@ class FleetState:
         # -- location x source transport latency, seconds -------------------
         # Pairs the network cannot resolve become NaN; the scalar path only
         # ever looks up pairs that actually occur, so the batch path raises
-        # lazily — when a *placed* VM needs an unknown pair (see fleet_step).
+        # lazily — when a *placed* VM needs an unknown pair (see step_range).
         self.sources = list(src_index)
         lat = np.full((max(len(self.locations), 1),
                        max(len(self.sources), 1)), np.nan)
@@ -352,33 +351,60 @@ class FleetState:
         return fleet
 
 
-def fleet_step(system: MultiDCSystem, trace: WorkloadTrace, t: int,
-               migrations: Optional[List[MigrationEvent]] = None
-               ) -> IntervalReport:
-    """Array-backed :meth:`MultiDCSystem.step` (the ``batch=True`` path).
+@dataclass
+class RangeStep:
+    """What :func:`step_range` computed for one PM range.
+
+    The per-VM arrays follow the range's placement order (PM by PM, each
+    PM's VMs in hosting order); the per-PM arrays follow the range.
+    ``vms`` and ``pms`` hold the boxed statistics when the step was asked
+    for them and are empty otherwise.
+    """
+
+    placed: np.ndarray          # fleet columns of the placed VMs
+    rps: np.ndarray
+    sla: np.ndarray
+    revenue: np.ndarray
+    penalty_eur: float          # blackout penalties, in pending order
+    on: np.ndarray
+    watts: np.ndarray
+    energy_wh: np.ndarray
+    energy_cost: np.ndarray
+    vms: Dict[str, VMIntervalStats]
+    pms: Dict[str, PMIntervalStats]
+
+
+def step_range(system: MultiDCSystem, fleet: FleetState, t: int,
+               interval_s: float, lo: int, hi: int,
+               last_demands: Dict[str, Resources],
+               box: bool) -> RangeStep:
+    """Play interval ``t`` on the PMs ``[lo, hi)`` of ``fleet``.
 
     Follows the scalar reference loop stage by stage — demands, grants,
-    response times, SLA, blackouts, revenue, power — but each stage is a
-    handful of fleet-wide array operations instead of per-VM Python calls.
-    See the module docstring for the equivalence contract.
+    response times, SLA, blackouts, revenue, power — as a handful of
+    array operations over the range's placed VMs.  Nothing couples VMs
+    on different hosts within an interval, and every per-VM and per-PM
+    value is elementwise, so a range computes exactly the values a wider
+    range would.  Every check runs before the first write: a step that
+    raises leaves the system untouched.  The writes are the grants of
+    the range's PMs, the consumed blackouts and the observed demands
+    (added to ``last_demands``).  ``box`` also builds the per-VM and
+    per-PM statistics of the report.
     """
-    fleet = FleetState.for_system(system, trace)
-    interval_s = trace.interval_s
-    hours = interval_s / 3600.0
-    migrations = migrations or []
-    n_vms = len(fleet.vm_ids)
-    n_pms = len(fleet.pms)
-
-    # 1. Placement arrays: which fleet column sits on which PM.
-    placed: List[int] = []
-    seg: List[int] = []
-    pm_vm_lists: List[Optional[List[str]]] = [None] * n_pms
     vm_index = fleet.vm_index
-    for i, pm in enumerate(fleet.pms):
+    pms = fleet.pms[lo:hi]
+    n_local = hi - lo
+    hours = interval_s / 3600.0
+
+    # 1. Placement walk: which fleet column sits on which PM.
+    placed_l: List[int] = []
+    seg_l: List[int] = []
+    hosted: List[Tuple[int, List[str]]] = []
+    for k, pm in enumerate(pms):
         ids = pm.vm_ids
         if not ids:
             continue
-        pm_vm_lists[i] = ids
+        hosted.append((k, ids))
         for vm_id in ids:
             # Every system VM has a column (untraced ones carry zero
             # load); only a VM foreign to the system is an error.
@@ -389,192 +415,201 @@ def fleet_step(system: MultiDCSystem, trace: WorkloadTrace, t: int,
                 # The scalar loop raises on the contract lookup of any
                 # placed VM; mirror it.
                 raise KeyError(vm_id)
-            placed.append(j)
-            seg.append(i)
-    placed_idx = np.asarray(placed, dtype=np.intp)
-    seg_arr = np.asarray(seg, dtype=np.intp)
-    placed_mask = np.zeros(n_vms, dtype=bool)
-    placed_mask[placed_idx] = True
+            placed_l.append(j)
+            seg_l.append(k)
+    placed = np.asarray(placed_l, dtype=np.intp)
+    seg = np.asarray(seg_l, dtype=np.intp)
+    n_placed = len(placed)
+    # pos[j] is fleet column j's index into ``placed``, -1 off the range.
+    pos = np.full(len(fleet.vm_ids), -1, dtype=np.intp)
+    pos[placed] = np.arange(n_placed)
 
-    # 2. Demands for the whole fleet (constraint 5.1), deliberately
-    # uncapped so overload registers as stress > 1 — as in the scalar path.
+    # 2. Demands (constraint 5.1), deliberately uncapped so overload
+    # registers as stress > 1 — as in the scalar path.
     dm = system.demand_model
-    rps = fleet.agg_rps[:, t]
-    bpr = fleet.agg_bpr[:, t]
-    cpr = fleet.agg_cpr[:, t]
-    req_cpu, req_mem, req_bw = dm.required_batch(
-        rps, bpr, cpr, fleet.base_mem, cpu_cap=float("inf"))
+    rps = fleet.agg_rps[placed, t]
+    bpr = fleet.agg_bpr[placed, t]
+    cpr = fleet.agg_cpr[placed, t]
+    d_cpu, d_mem, d_bw = dm.required_batch(
+        rps, bpr, cpr, fleet.base_mem[placed], cpu_cap=float("inf"))
 
     # 3. Grants: proportional sharing per PM (constraint 5.2), segmented.
-    d_cpu = req_cpu[placed_idx]
-    d_mem = req_mem[placed_idx]
-    d_bw = req_bw[placed_idx]
     g_cpu, g_mem, g_bw = proportional_allocation_batch(
-        fleet.pm_cap_cpu, fleet.pm_cap_mem, fleet.pm_cap_bw, seg_arr,
-        d_cpu, d_mem, d_bw,
-        c_cpu=fleet.vm_cap_cpu[placed_idx],
-        c_mem=fleet.vm_cap_mem[placed_idx],
-        c_bw=fleet.vm_cap_bw[placed_idx],
-        n_hosts=n_pms)
-    used_cpu = np.minimum(d_cpu, g_cpu)
+        fleet.pm_cap_cpu[lo:hi], fleet.pm_cap_mem[lo:hi],
+        fleet.pm_cap_bw[lo:hi], seg, d_cpu, d_mem, d_bw,
+        c_cpu=fleet.vm_cap_cpu[placed], c_mem=fleet.vm_cap_mem[placed],
+        c_bw=fleet.vm_cap_bw[placed], n_hosts=n_local)
 
-    # 4. Response times (constraint 6.1) and per-source SLA (6.2-7).
+    # 4. Response times (constraint 6.1) and per-source SLA (6.2-7), one
+    # row per (VM, source) series of a placed VM, in series order.
     rtm = system.rt_model
-    rt_cap = rtm.rt_cap_s
-    rps_p = rps[placed_idx]
-    proc_rt_p = rtm.process_rt_arrays(cpr[placed_idx], rps_p,
-                                      d_cpu, g_cpu, d_mem, g_mem,
-                                      d_bw, g_bw)
-    proc_rt = np.full(n_vms, rt_cap)
-    proc_rt[placed_idx] = proc_rt_p
-    vm_loc = np.zeros(n_vms, dtype=np.intp)
-    vm_loc[placed_idx] = fleet.pm_loc[seg_arr]
-    rps_rows = fleet.rps_rows[:, t]
-    lat_rows = fleet.lat_s[vm_loc[fleet.series_vm], fleet.series_src]
-    bad = np.isnan(lat_rows) & placed_mask[fleet.series_vm]
+    proc_rt = rtm.process_rt_arrays(cpr, rps, d_cpu, g_cpu, d_mem, g_mem,
+                                    d_bw, g_bw)
+    rows = np.flatnonzero(pos[fleet.series_vm] >= 0)
+    row_pos = pos[fleet.series_vm[rows]]
+    row_src = fleet.series_src[rows]
+    row_loc = fleet.pm_loc[lo + seg[row_pos]]
+    lat = fleet.lat_s[row_loc, row_src]
+    bad = np.isnan(lat)
     if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        loc = fleet.locations[vm_loc[fleet.series_vm[row]]]
+        r = int(np.flatnonzero(bad)[0])
         raise KeyError(f"unknown location: no latency between host "
-                       f"{loc!r} and source "
-                       f"{fleet.sources[fleet.series_src[row]]!r}")
-    rt_rows = proc_rt[fleet.series_vm] + lat_rows
+                       f"{fleet.locations[row_loc[r]]!r} and source "
+                       f"{fleet.sources[row_src[r]]!r}")
+    rt_rows = proc_rt[row_pos] + lat
+    row_rps = fleet.rps_rows[rows, t]
+    row_vm = placed[row_pos]
     # SLAContract.fulfillment with per-VM (rt0, alpha), elementwise.
-    f_rows = sla_fulfillment(rt_rows, fleet.rt0[fleet.series_vm],
-                             fleet.alpha[fleet.series_vm])
-    weight = np.bincount(fleet.series_vm, weights=rps_rows,
-                         minlength=n_vms)
-    scored = np.bincount(fleet.series_vm, weights=f_rows * rps_rows,
-                         minlength=n_vms)
-    sla_raw = np.where(weight > 0, scored / np.where(weight > 0, weight,
-                                                     1.0), 1.0)
-    sla_raw = np.where(placed_mask, sla_raw, 0.0)
-    sla_process = np.zeros(n_vms)
-    sla_process[placed_idx] = sla_fulfillment(
-        proc_rt_p, fleet.rt0[placed_idx], fleet.alpha[placed_idx])
+    f_rows = sla_fulfillment(rt_rows, fleet.rt0[row_vm], fleet.alpha[row_vm])
+    weight = np.bincount(row_pos, weights=row_rps, minlength=n_placed)
+    scored = np.bincount(row_pos, weights=f_rows * row_rps,
+                         minlength=n_placed)
+    sla_raw = np.where(weight > 0,
+                       scored / np.where(weight > 0, weight, 1.0), 1.0)
 
-    # 5. Migration blackouts: consume pending seconds for placed VMs only
-    # (orphans keep theirs until re-placed), as in the scalar loop.
-    frac = np.zeros(n_vms)
-    penalty_total = 0.0
+    # 5. Migration blackouts of the placed VMs, in pending order (orphans
+    # keep theirs until re-placed), as in the scalar loop.
+    frac = np.zeros(n_placed)
+    penalty = 0.0
+    consumed: List[str] = []
     pending = system._pending_blackout_s
     if pending:
         rate = system.prices.migration_penalty_rate
-        for vm_id in list(pending):
+        for vm_id, blackout_s in pending.items():
             j = vm_index.get(vm_id)
-            if j is None or not placed_mask[j]:
+            if j is None or pos[j] < 0:
                 continue
-            blackout_s = pending.pop(vm_id)
+            consumed.append(vm_id)
             f = min(1.0, blackout_s / interval_s)
-            frac[j] = f
+            frac[pos[j]] = f
             if f > 0.0:
-                penalty_total += migration_penalty_eur(blackout_s, rate)
+                penalty += migration_penalty_eur(blackout_s, rate)
     sla = sla_raw * (1.0 - frac)
 
     # 6. Revenue (same validation as core.profit.revenue_eur).
     if np.any(sla < 0.0) or np.any(sla > 1.0 + 1e-9):
         raise ValueError("SLA fulfillment outside [0, 1]")
-    revenue = fleet.price * np.minimum(sla, 1.0) * hours
-    revenue = np.where(placed_mask, revenue, 0.0)
-
-    # Queue lengths (monitoring feature).
-    queue_p = rtm.queue_length_arrays(rps_p, d_cpu, g_cpu, interval_s)
+    revenue = fleet.price[placed] * np.minimum(sla, 1.0) * hours
 
     # 7. Power and energy cost per PM (constraint 3).
-    counts = np.bincount(seg_arr, minlength=n_pms)
-    cpu_sums = np.bincount(seg_arr, weights=used_cpu, minlength=n_pms)
+    counts = np.bincount(seg, minlength=n_local)
+    cpu_sums = np.bincount(seg, weights=np.minimum(d_cpu, g_cpu),
+                           minlength=n_local)
     pm_cpu = np.minimum(dm.pm_cpu_batch(counts, cpu_sums),
-                        fleet.pm_cap_cpu)
-    on = np.fromiter((pm.on for pm in fleet.pms), dtype=bool, count=n_pms)
-    watts = np.empty(n_pms)
+                        fleet.pm_cap_cpu[lo:hi])
+    on = np.fromiter((pm.on for pm in pms), dtype=bool, count=n_local)
+    watts = np.empty(n_local)
     for model, ix in fleet.power_groups:
-        watts[ix] = model.facility_watts(pm_cpu[ix])
+        sub = ix[(ix >= lo) & (ix < hi)] - lo
+        if len(sub):
+            watts[sub] = model.facility_watts(pm_cpu[sub])
     watts = np.where(on, watts, 0.0)
     energy_wh = watts * interval_s / 3600.0
     prices = np.array([dc.energy_price_eur_kwh
-                       for dc in system.datacenters])[fleet.pm_loc]
+                       for dc in system.datacenters])[fleet.pm_loc[lo:hi]]
     energy_cost = energy_wh / 1000.0 * prices
 
-    profit = ProfitBreakdown(
-        revenue_eur=float(revenue.sum()),
-        migration_penalty_eur=penalty_total,
-        energy_cost_eur=float(energy_cost.sum()))
-
-    # 8. Write state back and box the per-VM / per-PM statistics once,
-    # straight from the result arrays.
-    vm_ids = fleet.vm_ids
-    vm_rows = fleet.vm_rows
-    rt_rows_l = rt_rows.tolist()
-    req_cpu_l, req_mem_l, req_bw_l = (req_cpu.tolist(), req_mem.tolist(),
-                                      req_bw.tolist())
-    last_demands: Dict[str, Resources] = {}
-    vm_stats: Dict[str, VMIntervalStats] = {}
-    rps_l, bpr_l, cpr_l = rps.tolist(), bpr.tolist(), cpr.tolist()
+    # 8. Write back — consumed blackouts, grants, observed demands —
+    # boxing the statistics on the way when asked, straight from the
+    # result arrays.
+    for vm_id in consumed:
+        del pending[vm_id]
+    d_cpu_l, d_mem_l, d_bw_l = d_cpu.tolist(), d_mem.tolist(), d_bw.tolist()
     g_cpu_l, g_mem_l, g_bw_l = g_cpu.tolist(), g_mem.tolist(), g_bw.tolist()
-    proc_rt_l = proc_rt.tolist()
-    sla_process_l, sla_raw_l, sla_l = (sla_process.tolist(),
-                                       sla_raw.tolist(), sla.tolist())
-    frac_l, revenue_l = frac.tolist(), revenue.tolist()
-    queue_l = queue_p.tolist()
-
-    pos = 0
-    for i, pm in enumerate(fleet.pms):
-        ids = pm_vm_lists[i]
-        if ids is None:
-            continue
-        location = fleet.pm_loc_names[i]
-        pm_id = pm.pm_id
+    locations = fleet.pm_loc_names
+    vm_stats: Dict[str, VMIntervalStats] = {}
+    if box:
+        vm_rows = fleet.vm_rows
+        # Indexed by series row; rows of VMs off the range stay unread.
+        rt_of_row = np.zeros(len(fleet.series_vm))
+        rt_of_row[rows] = rt_rows
+        rt_of_row = rt_of_row.tolist()
+        rps_l = rps.tolist()
+        bpr_l = bpr.tolist()
+        cpr_l = cpr.tolist()
+        proc_rt_l = proc_rt.tolist()
+        sla_process_l = sla_fulfillment(proc_rt, fleet.rt0[placed],
+                                        fleet.alpha[placed]).tolist()
+        sla_raw_l, sla_l = sla_raw.tolist(), sla.tolist()
+        frac_l, revenue_l = frac.tolist(), revenue.tolist()
+        queue_l = rtm.queue_length_arrays(rps, d_cpu, g_cpu,
+                                          interval_s).tolist()
+    p = 0
+    for k, ids in hosted:
         granted: Dict[str, Resources] = {}
         for vm_id in ids:
-            j = placed[pos]
-            required = Resources(req_cpu_l[j], req_mem_l[j], req_bw_l[j])
-            given = Resources(g_cpu_l[pos], g_mem_l[pos], g_bw_l[pos])
+            required = Resources(d_cpu_l[p], d_mem_l[p], d_bw_l[p])
+            given = Resources(g_cpu_l[p], g_mem_l[p], g_bw_l[p])
             granted[vm_id] = given
             last_demands[vm_id] = required
-            vm_stats[vm_id] = VMIntervalStats(
-                vm_id=vm_id, pm_id=pm_id, location=location,
-                load=LoadVector(rps_l[j], bpr_l[j], cpr_l[j]),
-                required=required, given=given,
-                process_rt_s=proc_rt_l[j],
-                rt_by_source={src: rt_rows_l[r]
-                              for r, src in vm_rows[j]},
-                sla_process=sla_process_l[j], sla_raw=sla_raw_l[j],
-                sla=sla_l[j], blackout_fraction=frac_l[j],
-                queue_len=queue_l[pos], revenue_eur=revenue_l[j])
-            pos += 1
+            if box:
+                vm_stats[vm_id] = VMIntervalStats(
+                    vm_id=vm_id, pm_id=pms[k].pm_id,
+                    location=locations[lo + k],
+                    load=LoadVector(rps_l[p], bpr_l[p], cpr_l[p]),
+                    required=required, given=given,
+                    process_rt_s=proc_rt_l[p],
+                    rt_by_source={src: rt_of_row[r]
+                                  for r, src in vm_rows[placed_l[p]]},
+                    sla_process=sla_process_l[p], sla_raw=sla_raw_l[p],
+                    sla=sla_l[p], blackout_fraction=frac_l[p],
+                    queue_len=queue_l[p], revenue_eur=revenue_l[p])
+            p += 1
         # The joint grants respect capacity by construction (the allocator
         # never hands out more than the host), so bypass regrant_all's
         # re-validation and swap the mapping atomically.
-        pm.granted = granted
-    system.last_demands = last_demands
+        pms[k].granted = granted
 
-    # Unplaced-but-traced VMs: fully unavailable, SLA 0, no revenue.
-    # Unplaced *and* untraced VMs are invisible, as in the scalar loop.
-    traced_mask = fleet.traced_mask
-    for j, vm_id in enumerate(vm_ids):
-        if placed_mask[j] or not traced_mask[j]:
-            continue
-        vm_stats[vm_id] = VMIntervalStats(
-            vm_id=vm_id, pm_id="", location="",
-            load=LoadVector(rps_l[j], bpr_l[j], cpr_l[j]),
-            required=Resources(req_cpu_l[j], req_mem_l[j], req_bw_l[j]),
-            given=_NO_GRANT, process_rt_s=rt_cap,
-            rt_by_source={src: rt_cap for _r, src in vm_rows[j]},
+    pm_stats: Dict[str, PMIntervalStats] = {}
+    if box:
+        on_l, counts_l = on.tolist(), counts.tolist()
+        sums_l, pm_cpu_l = cpu_sums.tolist(), pm_cpu.tolist()
+        watts_l = watts.tolist()
+        wh_l, cost_l = energy_wh.tolist(), energy_cost.tolist()
+        for k, pm in enumerate(pms):
+            pm_stats[pm.pm_id] = PMIntervalStats(
+                pm_id=pm.pm_id, location=locations[lo + k],
+                on=on_l[k], n_vms=counts_l[k], sum_vm_cpu=sums_l[k],
+                pm_cpu=pm_cpu_l[k], facility_watts=watts_l[k],
+                energy_wh=wh_l[k], energy_cost_eur=cost_l[k])
+
+    return RangeStep(placed=placed, rps=rps, sla=sla, revenue=revenue,
+                     penalty_eur=penalty, on=on, watts=watts,
+                     energy_wh=energy_wh, energy_cost=energy_cost,
+                     vms=vm_stats, pms=pm_stats)
+
+
+def unplaced_traced(fleet: FleetState,
+                    placed: Iterable[np.ndarray]) -> np.ndarray:
+    """Fleet columns of the traced VMs that no range placed."""
+    mask = fleet.traced_mask.copy()
+    for cols in placed:
+        mask[cols] = False
+    return np.flatnonzero(mask)
+
+
+def unplaced_vm_stats(system: MultiDCSystem, fleet: FleetState, t: int,
+                      unplaced: np.ndarray) -> Dict[str, VMIntervalStats]:
+    """Statistics of traced VMs with no host: fully unavailable, SLA 0.
+
+    Unplaced *and* untraced VMs are invisible, as in the scalar loop.
+    """
+    rps = fleet.agg_rps[unplaced, t]
+    bpr = fleet.agg_bpr[unplaced, t]
+    cpr = fleet.agg_cpr[unplaced, t]
+    cpu, mem, bw = system.demand_model.required_batch(
+        rps, bpr, cpr, fleet.base_mem[unplaced], cpu_cap=float("inf"))
+    rt_cap = system.rt_model.rt_cap_s
+    out: Dict[str, VMIntervalStats] = {}
+    for j, r, b, c, dc, dm, db in zip(
+            unplaced.tolist(), rps.tolist(), bpr.tolist(), cpr.tolist(),
+            cpu.tolist(), mem.tolist(), bw.tolist()):
+        vm_id = fleet.vm_ids[j]
+        out[vm_id] = VMIntervalStats(
+            vm_id=vm_id, pm_id="", location="", load=LoadVector(r, b, c),
+            required=Resources(dc, dm, db), given=_NO_GRANT,
+            process_rt_s=rt_cap,
+            rt_by_source={src: rt_cap for _r, src in fleet.vm_rows[j]},
             sla_process=0.0, sla_raw=0.0, sla=0.0,
             blackout_fraction=1.0, queue_len=0.0, revenue_eur=0.0)
-
-    pm_cpu_l, watts_l = pm_cpu.tolist(), watts.tolist()
-    wh_l, cost_l = energy_wh.tolist(), energy_cost.tolist()
-    sums_l, counts_l = cpu_sums.tolist(), counts.tolist()
-    on_l = on.tolist()
-    pm_stats: Dict[str, PMIntervalStats] = {}
-    for i, pm in enumerate(fleet.pms):
-        pm_stats[pm.pm_id] = PMIntervalStats(
-            pm_id=pm.pm_id, location=fleet.pm_loc_names[i], on=on_l[i],
-            n_vms=counts_l[i], sum_vm_cpu=sums_l[i], pm_cpu=pm_cpu_l[i],
-            facility_watts=watts_l[i], energy_wh=wh_l[i],
-            energy_cost_eur=cost_l[i])
-
-    return IntervalReport(t=t, interval_s=interval_s, vms=vm_stats,
-                          pms=pm_stats, migrations=list(migrations),
-                          profit=profit, placement=system.placement())
+    return out

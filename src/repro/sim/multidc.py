@@ -322,8 +322,8 @@ class MultiDCSystem:
     #: Ground-truth demands of the last played interval (vm_id -> Resources);
     #: schedulers use these to seed host views with out-of-scope VM demands.
     last_demands: Dict[str, Resources] = field(default_factory=dict)
-    #: Cached :class:`repro.sim.fleet.FleetState` for the batch stepping
-    #: path, keyed by the trace it was built from (see fleet.py).
+    #: Cached :class:`repro.sim.fleet.FleetState` for array stepping and
+    #: round snapshots, keyed by the trace it was built from (see fleet.py).
     _fleet_cache: Optional[object] = field(default=None, repr=False,
                                            compare=False)
     #: Cached :class:`repro.sim.sharding.ShardedFleet` facade (per-DC
@@ -505,28 +505,47 @@ class MultiDCSystem:
 
     # -- one interval of physics ---------------------------------------------------
     def step(self, trace: WorkloadTrace, t: int,
-             migrations: Optional[List[MigrationEvent]] = None,
-             batch: bool = True) -> IntervalReport:
+             migrations: Optional[List[MigrationEvent]] = None
+             ) -> IntervalReport:
         """Play interval ``t`` of the trace against the current placement.
 
-        With ``batch=True`` (the default) the interval is computed by the
-        array-backed stepping path (:mod:`repro.sim.fleet`): demands, the
-        proportional sharing, response times, SLA, power and the money
-        flows are evaluated as aligned numpy arrays over the whole fleet,
-        reusing a cached :class:`~repro.sim.fleet.FleetState` snapshot of
-        the trace.  ``batch=False`` runs the original per-VM reference
-        loop.  The two agree within 1e-9 on every
-        :class:`IntervalReport` field (differential tests enforce it).
+        Demands, the proportional sharing, response times, SLA, power and
+        the money flows are evaluated as aligned numpy arrays by
+        :func:`repro.sim.fleet.step_range`, over one range covering every
+        PM of a cached :class:`~repro.sim.fleet.FleetState` snapshot of
+        the trace.  :meth:`_step_scalar` is the per-VM reference loop;
+        the two agree within 1e-9 on every :class:`IntervalReport` field.
         """
-        if batch:
-            from .fleet import fleet_step
-            return fleet_step(self, trace, t, migrations=migrations)
-        return self._step_scalar(trace, t, migrations=migrations)
+        from .fleet import (FleetState, step_range, unplaced_traced,
+                            unplaced_vm_stats)
+        fleet = FleetState.for_system(self, trace)
+        last_demands: Dict[str, Resources] = {}
+        part = step_range(self, fleet, t, trace.interval_s, 0,
+                          len(fleet.pms), last_demands, box=True)
+        self.last_demands = last_demands
+        vm_stats = part.vms
+        vm_stats.update(unplaced_vm_stats(
+            self, fleet, t, unplaced_traced(fleet, [part.placed])))
+        # Revenue is summed over every VM column in fleet order, zeros for
+        # the unplaced ones: the reduction order fixes the total's last bits.
+        revenue = np.zeros(len(fleet.vm_ids))
+        revenue[part.placed] = part.revenue
+        profit = ProfitBreakdown(
+            revenue_eur=float(revenue.sum()),
+            migration_penalty_eur=part.penalty_eur,
+            energy_cost_eur=float(part.energy_cost.sum()))
+        return IntervalReport(t=t, interval_s=trace.interval_s, vms=vm_stats,
+                              pms=part.pms, migrations=list(migrations or []),
+                              profit=profit, placement=self.placement())
 
     def _step_scalar(self, trace: WorkloadTrace, t: int,
                      migrations: Optional[List[MigrationEvent]] = None
                      ) -> IntervalReport:
-        """Reference implementation of :meth:`step` (per-VM Python loops)."""
+        """Reference implementation of :meth:`step` (per-VM Python loops).
+
+        Not a production path: :func:`repro.arena.invariants.
+        check_spec_parity` replays it against :meth:`step` at runtime.
+        """
         interval_s = trace.interval_s
         hours = interval_s / 3600.0
         migrations = migrations or []

@@ -1,34 +1,28 @@
 """Per-DC sharded interval stepping behind a :class:`ShardedFleet` facade.
 
-:func:`~repro.sim.fleet.fleet_step` plays one interval as fleet-wide arrays;
-at 50–100k VMs the arrays themselves are fine, but the monolithic path still
-materializes O(n_vms) boxed per-VM statistics into every
-:class:`~repro.sim.multidc.IntervalReport`, so run memory grows linearly in
-horizon length.  This module splits the step along the natural physics
-boundary — **nothing in an interval couples VMs across datacenters** (grants
-are per-host, response times per VM, power per PM, tariffs per DC) — into
-per-DC shards:
+Nothing in an interval couples VMs across datacenters (grants are
+per-host, response times per VM, power per PM, tariffs per DC), so a step
+splits along DC boundaries into shards:
 
 * :class:`FleetShard` is a contiguous ``[lo, hi)`` PM slice of the global
   :class:`~repro.sim.fleet.FleetState` (PM arrays are laid out in
   datacenter order, so shard slicing is free).
-* :meth:`ShardedFleet.step_report` computes each shard independently and
-  merges the shard-local statistics into the same
-  :class:`~repro.sim.multidc.IntervalReport` the monolithic path returns —
-  the parity mode, pinned within 1e-9 of :func:`fleet_step` by differential
-  tests (per-VM values are computed by the same elementwise kernels on the
-  same rows, so only cross-shard *reduction sums* can differ, in the last
-  bits).
-* :meth:`ShardedFleet.step_metrics` is the bounded-memory mode: it performs
-  the same per-shard physics but reduces each shard straight to a
-  constant-size :class:`ShardMetrics` record and returns one
-  :class:`~repro.sim.metrics.IntervalMetrics` — no per-VM boxing at all.
-  Combined with a disk :class:`~repro.sim.metrics.MetricsSink`, peak memory
-  stays flat in horizon length.
+* :meth:`ShardedFleet.step_report` plays each shard through the same
+  kernel as :meth:`~repro.sim.multidc.MultiDCSystem.step`
+  (:func:`~repro.sim.fleet.step_range`, one call per shard) and merges
+  the shard-local statistics into one
+  :class:`~repro.sim.multidc.IntervalReport`.  Every per-VM and per-PM
+  statistic equals the one ``step`` reports; only the report totals,
+  summed shard by shard, can differ in the last bits.
+* :meth:`ShardedFleet.step_metrics` is the bounded-memory mode: the same
+  per-shard kernel without boxing, each shard reduced straight to a
+  constant-size :class:`ShardMetrics` record, one
+  :class:`~repro.sim.metrics.IntervalMetrics` returned.  Combined with a
+  disk :class:`~repro.sim.metrics.MetricsSink`, peak memory stays flat in
+  horizon length.
 
-Both modes preserve the stepping side-effects schedulers depend on
-(``pm.granted`` swaps, ``system.last_demands``, blackout consumption), so a
-scheduler sees an identical system afterwards.
+Both modes have the stepping side-effects schedulers depend on
+(``pm.granted`` swaps, ``system.last_demands``, blackout consumption).
 
 Cross-shard conservation laws (global KPIs equal the sum of shard KPIs; no
 VM in two shards) are checked by :mod:`repro.arena.invariants`; the
@@ -40,46 +34,32 @@ for exactly that audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from .demand import LoadVector
-from .fleet import FleetState, _NO_GRANT
+from .fleet import (FleetState, RangeStep, step_range, unplaced_traced,
+                    unplaced_vm_stats)
 from .machines import Resources
 from .metrics import IntervalMetrics
 from .multidc import (IntervalReport, MigrationEvent, MultiDCSystem,
-                      PMIntervalStats, VMIntervalStats,
-                      proportional_allocation_batch)
-from ..core.profit import ProfitBreakdown, migration_penalty_eur
-from ..core.sla import sla_fulfillment
+                      PMIntervalStats, VMIntervalStats)
+from ..core.profit import ProfitBreakdown
 from ..workload.traces import WorkloadTrace
 
 __all__ = ["FleetShard", "ShardMetrics", "ShardedFleet"]
 
 
+@dataclass(frozen=True)
 class FleetShard:
     """One datacenter's contiguous PM slice of the global fleet arrays."""
 
-    def __init__(self, fleet: FleetState, dc_index: int,
-                 lo: int, hi: int) -> None:
-        self.dc_index = dc_index
-        self.location = fleet.locations[dc_index]
-        self.lo = lo
-        self.hi = hi
-        self.n_pms = hi - lo
-        # Power-curve groups restricted to this shard, in local PM indices.
-        self.power_groups = []
-        for model, ix in fleet.power_groups:
-            sub = ix[(ix >= lo) & (ix < hi)] - lo
-            if len(sub):
-                # Shared across every interval of the run: read-only,
-                # like the fleet snapshot arrays they were sliced from.
-                sub.setflags(write=False)
-                self.power_groups.append((model, sub))
+    dc_index: int
+    location: str
+    lo: int
+    hi: int
 
-    def pm_ids(self, fleet: FleetState) -> List[str]:
-        return [pm.pm_id for pm in fleet.pms[self.lo:self.hi]]
+    @property
+    def n_pms(self) -> int:
+        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -115,7 +95,7 @@ class ShardedFleet:
         self.system = system
         self.fleet = FleetState.for_system(system, trace)
         self.shards: List[FleetShard] = [
-            FleetShard(self.fleet, di, lo, hi)
+            FleetShard(di, self.fleet.locations[di], lo, hi)
             for di, (lo, hi) in enumerate(self.fleet.dc_pm_ranges)]
         #: Per-shard reductions of the last step (either mode), for the
         #: cross-shard conservation audit.
@@ -148,311 +128,94 @@ class ShardedFleet:
                     migrations: Optional[List[MigrationEvent]] = None
                     ) -> IntervalReport:
         """Sharded step, full report (the parity/diagnostic mode)."""
-        return self._step(trace, t, migrations, build_report=True)
+        current = self._current(trace)
+        if current is not self:
+            return current.step_report(trace, t, migrations)
+        parts, unplaced = self._step(trace, t, box=True)
+        vm_stats: Dict[str, VMIntervalStats] = {}
+        pm_stats: Dict[str, PMIntervalStats] = {}
+        for part in parts:
+            vm_stats.update(part.vms)
+            pm_stats.update(part.pms)
+        vm_stats.update(unplaced_vm_stats(self.system, self.fleet, t,
+                                          unplaced))
+        shards = self.last_shard_metrics
+        profit = ProfitBreakdown(
+            revenue_eur=sum(s.revenue_eur for s in shards),
+            migration_penalty_eur=sum(s.migration_penalty_eur
+                                      for s in shards),
+            energy_cost_eur=sum(s.energy_cost_eur for s in shards))
+        return IntervalReport(t=t, interval_s=trace.interval_s,
+                              vms=vm_stats, pms=pm_stats,
+                              migrations=list(migrations or []),
+                              profit=profit,
+                              placement=self.system.placement())
 
     def step_metrics(self, trace: WorkloadTrace, t: int,
                      migrations: Optional[List[MigrationEvent]] = None
                      ) -> IntervalMetrics:
         """Sharded step, KPI-only (the bounded-memory mode)."""
-        return self._step(trace, t, migrations, build_report=False)
-
-    def _step(self, trace: WorkloadTrace, t: int,
-              migrations: Optional[List[MigrationEvent]],
-              build_report: bool):
-        system = self.system
-        fleet = self.fleet
-        if fleet is not FleetState.for_system(system, trace):
-            # Trace or topology changed under us: rebuild and retry once.
-            fresh = ShardedFleet.for_system(system, trace)
-            return fresh._step(trace, t, migrations, build_report)
-        interval_s = trace.interval_s
-        hours = interval_s / 3600.0
+        current = self._current(trace)
+        if current is not self:
+            return current.step_metrics(trace, t, migrations)
+        _parts, unplaced = self._step(trace, t, box=False)
         migrations = migrations or []
-        n_vms = len(fleet.vm_ids)
-        vm_index = fleet.vm_index
-
-        # Pass A - placement walk per shard (same PM order as fleet_step).
-        placed_mask = np.zeros(n_vms, dtype=bool)
-        vm_shard = np.full(n_vms, -1, dtype=np.intp)
-        shard_placed: List[np.ndarray] = []
-        shard_seg: List[np.ndarray] = []
-        shard_vm_lists: List[List[Optional[List[str]]]] = []
-        for si, shard in enumerate(self.shards):
-            placed: List[int] = []
-            seg: List[int] = []
-            pm_vm_lists: List[Optional[List[str]]] = [None] * shard.n_pms
-            for k in range(shard.n_pms):
-                pm = fleet.pms[shard.lo + k]
-                ids = pm.vm_ids
-                if not ids:
-                    continue
-                pm_vm_lists[k] = ids
-                for vm_id in ids:
-                    j = vm_index.get(vm_id)
-                    if j is None:
-                        raise KeyError(
-                            f"unknown VM {vm_id!r} on host {pm.pm_id!r}")
-                    if fleet.no_contract[j]:
-                        raise KeyError(vm_id)
-                    placed.append(j)
-                    seg.append(k)
-            placed_idx = np.asarray(placed, dtype=np.intp)
-            placed_mask[placed_idx] = True
-            vm_shard[placed_idx] = si
-            shard_placed.append(placed_idx)
-            shard_seg.append(np.asarray(seg, dtype=np.intp))
-            shard_vm_lists.append(pm_vm_lists)
-
-        # Blackouts: consume pending seconds for placed VMs, in pending
-        # order (as fleet_step does), attributing the penalty to the
-        # consuming VM's shard.
-        frac = np.zeros(n_vms)
-        shard_penalty = np.zeros(max(len(self.shards), 1))
-        pending = system._pending_blackout_s
-        if pending:
-            rate = system.prices.migration_penalty_rate
-            for vm_id in list(pending):
-                j = vm_index.get(vm_id)
-                if j is None or not placed_mask[j]:
-                    continue
-                blackout_s = pending.pop(vm_id)
-                f = min(1.0, blackout_s / interval_s)
-                frac[j] = f
-                if f > 0.0:
-                    shard_penalty[vm_shard[j]] += migration_penalty_eur(
-                        blackout_s, rate)
-
-        # Shared inputs and scatter buffers (reused across shards).
-        dm = system.demand_model
-        rtm = system.rt_model
-        rt_cap = rtm.rt_cap_s
-        rps = fleet.agg_rps[:, t]
-        bpr = fleet.agg_bpr[:, t]
-        cpr = fleet.agg_cpr[:, t]
-        series_vm = fleet.series_vm
-        proc_col = np.empty(n_vms)
-        in_shard = np.zeros(n_vms, dtype=bool)
-
-        last_demands: Dict[str, Resources] = {}
-        shard_metrics: List[ShardMetrics] = []
-        vm_stats: Dict[str, VMIntervalStats] = {}
-        pm_stats: Dict[str, PMIntervalStats] = {}
-
-        # Pass B - per-shard physics + reduction.
-        for si, shard in enumerate(self.shards):
-            placed_idx = shard_placed[si]
-            seg_arr = shard_seg[si]
-            lo, hi = shard.lo, shard.hi
-            n_local = shard.n_pms
-
-            # Demands (constraint 5.1), uncapped — elementwise, so batching
-            # only this shard's VMs matches the fleet-wide batch bit-for-bit.
-            req_cpu, req_mem, req_bw = dm.required_batch(
-                rps[placed_idx], bpr[placed_idx], cpr[placed_idx],
-                fleet.base_mem[placed_idx], cpu_cap=float("inf"))
-
-            # Grants (constraint 5.2): segmented per-host sharing; hosts
-            # outside the shard cannot interact by construction.
-            g_cpu, g_mem, g_bw = proportional_allocation_batch(
-                fleet.pm_cap_cpu[lo:hi], fleet.pm_cap_mem[lo:hi],
-                fleet.pm_cap_bw[lo:hi], seg_arr,
-                req_cpu, req_mem, req_bw,
-                c_cpu=fleet.vm_cap_cpu[placed_idx],
-                c_mem=fleet.vm_cap_mem[placed_idx],
-                c_bw=fleet.vm_cap_bw[placed_idx],
-                n_hosts=n_local)
-            used_cpu = np.minimum(req_cpu, g_cpu)
-
-            # Response times (6.1) and per-source SLA (6.2-7).
-            rps_p = rps[placed_idx]
-            proc_rt_p = rtm.process_rt_arrays(
-                cpr[placed_idx], rps_p, req_cpu, g_cpu, req_mem, g_mem,
-                req_bw, g_bw)
-            proc_col[placed_idx] = proc_rt_p
-            in_shard[:] = False
-            in_shard[placed_idx] = True
-            row_idx = np.flatnonzero(in_shard[series_vm])
-            svm = series_vm[row_idx]
-            ssrc = fleet.series_src[row_idx]
-            lat_vals = fleet.lat_s[shard.dc_index, ssrc]
-            bad = np.isnan(lat_vals)
-            if bad.any():
-                r = int(np.flatnonzero(bad)[0])
-                raise KeyError(f"unknown location: no latency between host "
-                               f"{shard.location!r} and source "
-                               f"{fleet.sources[ssrc[r]]!r}")
-            rt_vals = proc_col[svm] + lat_vals
-            rps_row_vals = fleet.rps_rows[row_idx, t]
-            f_vals = sla_fulfillment(rt_vals, fleet.rt0[svm],
-                                     fleet.alpha[svm])
-            weight = np.bincount(svm, weights=rps_row_vals, minlength=n_vms)
-            scored = np.bincount(svm, weights=f_vals * rps_row_vals,
-                                 minlength=n_vms)
-            w_p = weight[placed_idx]
-            s_p = scored[placed_idx]
-            sla_raw_p = np.where(w_p > 0,
-                                 s_p / np.where(w_p > 0, w_p, 1.0), 1.0)
-            sla_p = sla_raw_p * (1.0 - frac[placed_idx])
-            if np.any(sla_p < 0.0) or np.any(sla_p > 1.0 + 1e-9):
-                raise ValueError("SLA fulfillment outside [0, 1]")
-            revenue_p = fleet.price[placed_idx] * np.minimum(sla_p, 1.0) * hours
-
-            # Power and energy cost (constraint 3) for the shard's PMs.
-            counts = np.bincount(seg_arr, minlength=n_local)
-            cpu_sums = np.bincount(seg_arr, weights=used_cpu,
-                                   minlength=n_local)
-            pm_cpu = np.minimum(dm.pm_cpu_batch(counts, cpu_sums),
-                                fleet.pm_cap_cpu[lo:hi])
-            on = np.fromiter((pm.on for pm in fleet.pms[lo:hi]),
-                             dtype=bool, count=n_local)
-            watts = np.empty(n_local)
-            for model, ix in shard.power_groups:
-                watts[ix] = model.facility_watts(pm_cpu[ix])
-            watts = np.where(on, watts, 0.0)
-            energy_wh = watts * interval_s / 3600.0
-            price_kwh = system.datacenters[shard.dc_index].energy_price_eur_kwh
-            energy_cost = energy_wh / 1000.0 * price_kwh
-
-            # Write state back: granted swaps + observed demands, exactly
-            # like the monolithic step.
-            g_cpu_l, g_mem_l, g_bw_l = (g_cpu.tolist(), g_mem.tolist(),
-                                        g_bw.tolist())
-            req_cpu_l, req_mem_l, req_bw_l = (req_cpu.tolist(),
-                                              req_mem.tolist(),
-                                              req_bw.tolist())
-            placed_l = placed_idx.tolist()
-            if build_report:
-                rt_map = dict(zip(row_idx.tolist(), rt_vals.tolist()))
-                queue_p = rtm.queue_length_arrays(rps_p, req_cpu, g_cpu,
-                                                  interval_s)
-                queue_l = queue_p.tolist()
-                proc_rt_l = proc_rt_p.tolist()
-                sla_raw_l, sla_l = sla_raw_p.tolist(), sla_p.tolist()
-                sla_process_l = sla_fulfillment(
-                    proc_rt_p, fleet.rt0[placed_idx],
-                    fleet.alpha[placed_idx]).tolist()
-                revenue_l = revenue_p.tolist()
-            pos = 0
-            vm_rows = fleet.vm_rows
-            for k in range(n_local):
-                ids = shard_vm_lists[si][k]
-                if ids is None:
-                    continue
-                pm = fleet.pms[lo + k]
-                granted: Dict[str, Resources] = {}
-                for vm_id in ids:
-                    j = placed_l[pos]
-                    required = Resources(req_cpu_l[pos], req_mem_l[pos],
-                                         req_bw_l[pos])
-                    given = Resources(g_cpu_l[pos], g_mem_l[pos],
-                                      g_bw_l[pos])
-                    granted[vm_id] = given
-                    last_demands[vm_id] = required
-                    if build_report:
-                        vm_stats[vm_id] = VMIntervalStats(
-                            vm_id=vm_id, pm_id=pm.pm_id,
-                            location=shard.location,
-                            load=LoadVector(float(rps[j]), float(bpr[j]),
-                                            float(cpr[j])),
-                            required=required, given=given,
-                            process_rt_s=proc_rt_l[pos],
-                            rt_by_source={src: rt_map[r]
-                                          for r, src in vm_rows[j]},
-                            sla_process=sla_process_l[pos],
-                            sla_raw=sla_raw_l[pos], sla=sla_l[pos],
-                            blackout_fraction=float(frac[j]),
-                            queue_len=queue_l[pos],
-                            revenue_eur=revenue_l[pos])
-                    pos += 1
-                pm.granted = granted
-            if build_report:
-                on_l = on.tolist()
-                counts_l, sums_l = counts.tolist(), cpu_sums.tolist()
-                pm_cpu_l, watts_l = pm_cpu.tolist(), watts.tolist()
-                wh_l, cost_l = energy_wh.tolist(), energy_cost.tolist()
-                for k in range(n_local):
-                    pm = fleet.pms[lo + k]
-                    pm_stats[pm.pm_id] = PMIntervalStats(
-                        pm_id=pm.pm_id, location=shard.location,
-                        on=on_l[k], n_vms=counts_l[k],
-                        sum_vm_cpu=sums_l[k], pm_cpu=pm_cpu_l[k],
-                        facility_watts=watts_l[k], energy_wh=wh_l[k],
-                        energy_cost_eur=cost_l[k])
-
-            shard_metrics.append(ShardMetrics(
-                location=shard.location, n_pms=n_local,
-                n_placed=len(placed_l),
-                sla_sum=float(sla_p.sum()),
-                rps_sum=float(rps_p.sum()),
-                revenue_eur=float(revenue_p.sum()),
-                migration_penalty_eur=float(shard_penalty[si]),
-                energy_cost_eur=float(energy_cost.sum()),
-                watts_sum=float(watts.sum()),
-                energy_wh_sum=float(energy_wh.sum()),
-                n_pms_on=int(on.sum())))
-
-        system.last_demands = last_demands
-
-        # The unplaced-but-traced remainder: SLA 0, no revenue, but its
-        # load exists and is folded into mean SLA and total rps.
-        unplaced_idx = np.flatnonzero(fleet.traced_mask & ~placed_mask)
-        self.last_shard_metrics = shard_metrics
-        self.last_unplaced = ShardMetrics(
-            location="<unplaced>", n_pms=0, n_placed=0,
-            sla_sum=0.0, rps_sum=float(rps[unplaced_idx].sum()),
-            revenue_eur=0.0, migration_penalty_eur=0.0,
-            energy_cost_eur=0.0, watts_sum=0.0, energy_wh_sum=0.0,
-            n_pms_on=0) if len(unplaced_idx) else None
-
-        revenue_total = sum(s.revenue_eur for s in shard_metrics)
-        penalty_total = sum(s.migration_penalty_eur for s in shard_metrics)
-        cost_total = sum(s.energy_cost_eur for s in shard_metrics)
-
-        if build_report:
-            if len(unplaced_idx):
-                u_cpu, u_mem, u_bw = dm.required_batch(
-                    rps[unplaced_idx], bpr[unplaced_idx], cpr[unplaced_idx],
-                    fleet.base_mem[unplaced_idx], cpu_cap=float("inf"))
-                u_cpu_l, u_mem_l, u_bw_l = (u_cpu.tolist(), u_mem.tolist(),
-                                            u_bw.tolist())
-                for p, j in enumerate(unplaced_idx.tolist()):
-                    vm_id = fleet.vm_ids[j]
-                    vm_stats[vm_id] = VMIntervalStats(
-                        vm_id=vm_id, pm_id="", location="",
-                        load=LoadVector(float(rps[j]), float(bpr[j]),
-                                        float(cpr[j])),
-                        required=Resources(u_cpu_l[p], u_mem_l[p],
-                                           u_bw_l[p]),
-                        given=_NO_GRANT, process_rt_s=rt_cap,
-                        rt_by_source={src: rt_cap
-                                      for _r, src in fleet.vm_rows[j]},
-                        sla_process=0.0, sla_raw=0.0, sla=0.0,
-                        blackout_fraction=1.0, queue_len=0.0,
-                        revenue_eur=0.0)
-            profit = ProfitBreakdown(
-                revenue_eur=revenue_total,
-                migration_penalty_eur=penalty_total,
-                energy_cost_eur=cost_total)
-            return IntervalReport(t=t, interval_s=interval_s, vms=vm_stats,
-                                  pms=pm_stats, migrations=list(migrations),
-                                  profit=profit,
-                                  placement=system.placement())
-
-        n_reported = (sum(s.n_placed for s in shard_metrics)
-                      + len(unplaced_idx))
-        sla_total = sum(s.sla_sum for s in shard_metrics)
-        rps_total = (sum(s.rps_sum for s in shard_metrics)
-                     + float(rps[unplaced_idx].sum()))
+        shards = self.last_shard_metrics
+        rest = [self.last_unplaced] if self.last_unplaced is not None else []
+        revenue = sum(s.revenue_eur for s in shards)
+        penalty = sum(s.migration_penalty_eur for s in shards)
+        cost = sum(s.energy_cost_eur for s in shards)
+        n_reported = sum(s.n_placed for s in shards) + len(unplaced)
         return IntervalMetrics(
-            t=t, interval_s=interval_s,
-            mean_sla=(sla_total / n_reported if n_reported else 1.0),
-            total_watts=sum(s.watts_sum for s in shard_metrics),
-            total_energy_wh=sum(s.energy_wh_sum for s in shard_metrics),
-            n_pms_on=sum(s.n_pms_on for s in shard_metrics),
+            t=t, interval_s=trace.interval_s,
+            mean_sla=(sum(s.sla_sum for s in shards) / n_reported
+                      if n_reported else 1.0),
+            total_watts=sum(s.watts_sum for s in shards),
+            total_energy_wh=sum(s.energy_wh_sum for s in shards),
+            n_pms_on=sum(s.n_pms_on for s in shards),
             n_migrations=len(migrations),
             n_inter_dc_migrations=sum(1 for m in migrations if m.inter_dc),
-            revenue_eur=revenue_total,
-            migration_penalty_eur=penalty_total,
-            energy_cost_eur=cost_total,
-            profit_eur=revenue_total - penalty_total - cost_total,
-            total_rps=rps_total)
+            revenue_eur=revenue, migration_penalty_eur=penalty,
+            energy_cost_eur=cost, profit_eur=revenue - penalty - cost,
+            total_rps=sum(s.rps_sum for s in shards + rest))
+
+    def _current(self, trace: WorkloadTrace) -> "ShardedFleet":
+        """This facade, or a rebuilt one when the trace or the topology
+        changed under it (a held facade never steps stale arrays)."""
+        if self.fleet is FleetState.for_system(self.system, trace):
+            return self
+        return ShardedFleet.for_system(self.system, trace)
+
+    def _step(self, trace: WorkloadTrace, t: int, box: bool):
+        """Play every shard through :func:`step_range` and record the
+        per-shard reductions; returns ``(parts, unplaced)``."""
+        system = self.system
+        fleet = self.fleet
+        last_demands: Dict[str, Resources] = {}
+        parts: List[RangeStep] = [
+            step_range(system, fleet, t, trace.interval_s, shard.lo,
+                       shard.hi, last_demands, box)
+            for shard in self.shards]
+        system.last_demands = last_demands
+        self.last_shard_metrics = [
+            ShardMetrics(
+                location=shard.location, n_pms=shard.n_pms,
+                n_placed=len(part.placed), sla_sum=float(part.sla.sum()),
+                rps_sum=float(part.rps.sum()),
+                revenue_eur=float(part.revenue.sum()),
+                migration_penalty_eur=part.penalty_eur,
+                energy_cost_eur=float(part.energy_cost.sum()),
+                watts_sum=float(part.watts.sum()),
+                energy_wh_sum=float(part.energy_wh.sum()),
+                n_pms_on=int(part.on.sum()))
+            for shard, part in zip(self.shards, parts)]
+        # The unplaced-but-traced remainder: SLA 0, no revenue, but its
+        # load exists and is folded into mean SLA and total rps.
+        unplaced = unplaced_traced(fleet, [part.placed for part in parts])
+        self.last_unplaced = ShardMetrics(
+            location="<unplaced>", n_pms=0, n_placed=0,
+            sla_sum=0.0, rps_sum=float(fleet.agg_rps[unplaced, t].sum()),
+            revenue_eur=0.0, migration_penalty_eur=0.0,
+            energy_cost_eur=0.0, watts_sum=0.0, energy_wh_sum=0.0,
+            n_pms_on=0) if len(unplaced) else None
+        return parts, unplaced

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.experiments.scaling import (ScalingPoint, format_fleet_simulation,
-                                       format_scaling, run_fleet_simulation,
+from repro.experiments.scaling import (ScalingPoint, format_scaling,
                                        run_scaling, synthetic_fleet_problem,
                                        synthetic_fleet_system)
+from repro.sim.engine import run_simulation
+from repro.sim.fleet import report_max_abs_diff
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +91,16 @@ class TestSyntheticFleetSystem:
 
 class TestFleetSimulation:
     def test_small_round_trip(self):
-        """Tiny sizes here; the benchmark suite runs 500x200x96."""
-        result = run_fleet_simulation(n_hosts=8, n_vms=20, n_intervals=4,
-                                      seed=4)
-        assert result.max_abs_diff < 1e-9
-        assert result.batch_s > 0.0
-        assert result.scalar_s > 0.0
-        assert 0.0 < result.mean_sla <= 1.0
-        text = format_fleet_simulation(result)
-        assert "speedup" in text
-        assert "report diff" in text
+        """A whole run of the synthetic fleet steps like the scalar loop."""
+        fast = run_simulation(*synthetic_fleet_system(
+            n_hosts=8, n_vms=20, n_intervals=4, seed=4))
+        system, trace = synthetic_fleet_system(n_hosts=8, n_vms=20,
+                                               n_intervals=4, seed=4)
+        scalar = []
+        for t in range(trace.n_intervals):
+            system.apply_tariffs(t)
+            scalar.append(system._step_scalar(trace, t))
+        assert len(fast) == len(scalar) == 4
+        assert max(report_max_abs_diff(a, b)
+                   for a, b in zip(fast.reports, scalar)) < 1e-9
+        assert 0.0 < fast.summary().avg_sla <= 1.0

@@ -277,9 +277,9 @@ class TestRegistry:
     def test_registry_populated(self):
         for name in ("table1", "table2", "table3", "figure4", "figure5",
                      "figure6", "figure7", "figure8", "delocation",
-                     "harvest_ablation", "scaling", "fleet_sim",
+                     "harvest_ablation", "scaling",
                      "flash_crowd_failures", "follow_the_sun_8dc",
-                     "ml_large_fleet"):
+                     "ml_large_fleet", "huge_fleet_stream"):
             assert name in REGISTRY, name
 
     def test_spec_overrides(self):

@@ -1,7 +1,7 @@
 """Differential tests: array-backed stepping vs the scalar reference.
 
-The contract (same style as PR 1's batch scoring): ``step(batch=True)``
-reproduces ``step(batch=False)`` within 1e-9 on every
+The contract: ``step`` reproduces the scalar reference loop
+``_step_scalar`` within 1e-9 on every
 :class:`~repro.sim.multidc.IntervalReport` field — per-VM stats, per-PM
 stats, profit, placement — and leaves the system in an equivalent state
 (grants, ``last_demands``, pending blackouts), interval after interval.
@@ -18,8 +18,8 @@ from repro.core.profit import PriceBook
 from repro.experiments.scenario import (ScenarioConfig, multidc_system,
                                         multidc_trace)
 from repro.sim.datacenter import PAPER_ENERGY_PRICES, build_datacenter
-from repro.sim.engine import run_simulation
-from repro.sim.fleet import FleetState, fleet_step, report_max_abs_diff
+from repro.sim.engine import RunHistory, run_simulation
+from repro.sim.fleet import FleetState, report_max_abs_diff
 from repro.sim.machines import Resources, VirtualMachine
 from repro.sim.multidc import MultiDCSystem
 from repro.sim.network import paper_network_model
@@ -58,6 +58,17 @@ def deploy_round_robin(system):
         system.deploy(vm_id, pm_ids[i % len(pm_ids)])
 
 
+def run_scalar(system, trace, scheduler=None):
+    """``run_simulation``'s interval loop over the scalar reference step."""
+    reports = []
+    for t in range(trace.n_intervals):
+        system.apply_tariffs(t)
+        proposal = scheduler(system, trace, t) if scheduler else None
+        migrations = system.apply_schedule(proposal) if proposal else []
+        reports.append(system._step_scalar(trace, t, migrations=migrations))
+    return reports
+
+
 def assert_states_match(sys_a, sys_b):
     """Grants, last_demands and pending blackouts agree within TOL."""
     assert_system_states_match(sys_a, sys_b, tol=TOL)
@@ -68,8 +79,8 @@ class TestStepEquivalence:
         (sa, trace), (sb, _) = make_pair()
         deploy_round_robin(sa)
         deploy_round_robin(sb)
-        ra = sa.step(trace, 0, batch=False)
-        rb = sb.step(trace, 0, batch=True)
+        ra = sa._step_scalar(trace, 0)
+        rb = sb.step(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
         assert_states_match(sa, sb)
 
@@ -78,8 +89,8 @@ class TestStepEquivalence:
         deploy_round_robin(sa)
         deploy_round_robin(sb)
         for t in range(trace.n_intervals):
-            ra = sa.step(trace, t, batch=False)
-            rb = sb.step(trace, t, batch=True)
+            ra = sa._step_scalar(trace, t)
+            rb = sb.step(trace, t)
             assert report_max_abs_diff(ra, rb) < TOL
 
     def test_heavy_contention(self):
@@ -88,8 +99,8 @@ class TestStepEquivalence:
                                          rps_hi=120.0, seed=5)
         deploy_round_robin(sa)
         deploy_round_robin(sb)
-        ra = sa.step(trace, 0, batch=False)
-        rb = sb.step(trace, 0, batch=True)
+        ra = sa._step_scalar(trace, 0)
+        rb = sb.step(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
         # The scenario actually exercises overload.
         assert any(v.queue_len > 0 for v in ra.vms.values())
@@ -98,8 +109,8 @@ class TestStepEquivalence:
         (sa, trace), (sb, _) = make_pair(rps_hi=1e-12, seed=9)
         deploy_round_robin(sa)
         deploy_round_robin(sb)
-        ra = sa.step(trace, 0, batch=False)
-        rb = sb.step(trace, 0, batch=True)
+        ra = sa._step_scalar(trace, 0)
+        rb = sb.step(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
 
     def test_migration_blackout_and_penalty(self):
@@ -109,14 +120,14 @@ class TestStepEquivalence:
         target = "BST-pm0"
         ev_a = sa.apply_schedule({"vm0": target})
         ev_b = sb.apply_schedule({"vm0": target})
-        ra = sa.step(trace, 0, migrations=ev_a, batch=False)
-        rb = sb.step(trace, 0, migrations=ev_b, batch=True)
+        ra = sa._step_scalar(trace, 0, migrations=ev_a)
+        rb = sb.step(trace, 0, migrations=ev_b)
         assert ra.vms["vm0"].blackout_fraction > 0.0
         assert ra.profit.migration_penalty_eur > 0.0
         assert report_max_abs_diff(ra, rb) < TOL
         # Penalty charged once in both paths.
-        ra2 = sa.step(trace, 1, batch=False)
-        rb2 = sb.step(trace, 1, batch=True)
+        ra2 = sa._step_scalar(trace, 1)
+        rb2 = sb.step(trace, 1)
         assert rb2.profit.migration_penalty_eur == 0.0
         assert report_max_abs_diff(ra2, rb2) < TOL
 
@@ -126,8 +137,8 @@ class TestStepEquivalence:
         for i in range(6):   # leave vm6, vm7 unplaced
             sa.deploy(f"vm{i}", "BCN-pm0" if i % 2 else "BST-pm0")
             sb.deploy(f"vm{i}", "BCN-pm0" if i % 2 else "BST-pm0")
-        ra = sa.step(trace, 0, batch=False)
-        rb = sb.step(trace, 0, batch=True)
+        ra = sa._step_scalar(trace, 0)
+        rb = sb.step(trace, 0)
         assert rb.vms["vm7"].sla == 0.0
         assert rb.vms["vm7"].revenue_eur == 0.0
         assert rb.vms["vm7"].pm_id == ""
@@ -141,8 +152,8 @@ class TestStepEquivalence:
             s.apply_schedule({"vm0": "BST-pm0"})
             # Orphan the VM after the migration was booked.
             s.pm("BST-pm0").fail()
-        ra = sa.step(trace, 0, batch=False)
-        rb = sb.step(trace, 0, batch=True)
+        ra = sa._step_scalar(trace, 0)
+        rb = sb.step(trace, 0)
         assert "vm0" in sb._pending_blackout_s
         assert report_max_abs_diff(ra, rb) < TOL
         assert_states_match(sa, sb)
@@ -153,8 +164,8 @@ class TestStepEquivalence:
             s.deploy("vm0", "BCN-pm0")
             s.deploy("vm1", "BCN-pm0")
             s.pm("BST-pm0").set_power(False)
-        ra = sa.step(trace, 0, batch=False)
-        rb = sb.step(trace, 0, batch=True)
+        ra = sa._step_scalar(trace, 0)
+        rb = sb.step(trace, 0)
         assert rb.pms["BST-pm0"].facility_watts == 0.0
         assert report_max_abs_diff(ra, rb) < TOL
 
@@ -172,8 +183,8 @@ class TestStepEquivalence:
             s.vms["ghost"] = VirtualMachine(vm_id="ghost")
             s.contracts.setdefault("ghost", s.contracts["vm0"])
             s.deploy("ghost", "BCN-pm0")
-        ra = sa.step(trace, 0, batch=False)
-        rb = sb.step(trace, 0, batch=True)
+        ra = sa._step_scalar(trace, 0)
+        rb = sb.step(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
         assert_states_match(sa, sb)
         for r in (ra, rb):
@@ -192,25 +203,23 @@ class TestStepEquivalence:
             deploy_round_robin(s)
             s.vms["ghost"] = VirtualMachine(vm_id="ghost")
             s.contracts.setdefault("ghost", s.contracts["vm0"])
-        ra = sa.step(trace, 0, batch=False)
-        rb = sb.step(trace, 0, batch=True)
+        ra = sa._step_scalar(trace, 0)
+        rb = sb.step(trace, 0)
         assert "ghost" not in ra.vms and "ghost" not in rb.vms
         assert report_max_abs_diff(ra, rb) < TOL
 
     def test_untraced_vm_full_run_with_scheduler(self):
         """Zero-load VMs survive a whole scheduled run on both paths."""
-        results = []
-        for batch in (False, True):
-            (s, trace), _ = make_pair(n_vms=4, T=4)
+        (sa, trace), (sb, _) = make_pair(n_vms=4, T=4)
+        for s in (sa, sb):
             deploy_round_robin(s)
             s.vms["ghost"] = VirtualMachine(vm_id="ghost")
             s.contracts.setdefault("ghost", s.contracts["vm0"])
             s.deploy("ghost", "BCN-pm0")
-            history = run_simulation(s, trace,
-                                     scheduler=oracle_scheduler(),
-                                     batch=batch)
-            results.append(history)
-        for ra, rb in zip(results[0].reports, results[1].reports):
+        scalar = run_scalar(sa, trace, scheduler=oracle_scheduler())
+        history = run_simulation(sb, trace, scheduler=oracle_scheduler())
+        assert len(scalar) == len(history) == 4
+        for ra, rb in zip(scalar, history.reports):
             assert report_max_abs_diff(ra, rb) < TOL
             # The scheduler skips the untraced VM, so it never moves.
             assert rb.placement["ghost"] == "BCN-pm0"
@@ -227,8 +236,8 @@ class TestStepEquivalence:
         for t in range(3):
             sa.apply_tariffs(t)
             sb.apply_tariffs(t)
-            ra = sa.step(trace, t, batch=False)
-            rb = sb.step(trace, t, batch=True)
+            ra = sa._step_scalar(trace, t)
+            rb = sb.step(trace, t)
             assert report_max_abs_diff(ra, rb) < TOL
 
 
@@ -237,8 +246,8 @@ class TestRunSimulationEquivalence:
         (sa, trace), (sb, _) = make_pair(T=6)
         deploy_round_robin(sa)
         deploy_round_robin(sb)
-        ha = run_simulation(sa, trace, batch=False)
-        hb = run_simulation(sb, trace, batch=True)
+        ha = RunHistory(run_scalar(sa, trace))
+        hb = run_simulation(sb, trace)
         assert len(ha) == len(hb)
         for ra, rb in zip(ha.reports, hb.reports):
             assert report_max_abs_diff(ra, rb) < TOL
@@ -253,11 +262,11 @@ class TestRunSimulationEquivalence:
         config = ScenarioConfig(n_intervals=8, scale=3.0, seed=11)
         trace = multidc_trace(config)
         scheduler = oracle_scheduler()
-        ha = run_simulation(multidc_system(config), trace,
-                            scheduler=scheduler, batch=False)
+        ha = run_scalar(multidc_system(config), trace, scheduler=scheduler)
         hb = run_simulation(multidc_system(config), trace,
-                            scheduler=scheduler, batch=True)
-        for ra, rb in zip(ha.reports, hb.reports):
+                            scheduler=scheduler)
+        assert len(ha) == len(hb) == 8
+        for ra, rb in zip(ha, hb.reports):
             assert ra.placement == rb.placement
             assert report_max_abs_diff(ra, rb) < TOL
 
@@ -294,10 +303,24 @@ class TestFleetState:
                 assert fleet.agg_cpr[j, t] == pytest.approx(
                     agg.cpu_time_per_req, abs=1e-12)
 
-    def test_direct_fleet_step_equals_method(self):
-        (sa, trace), (sb, _) = make_pair()
-        deploy_round_robin(sa)
-        deploy_round_robin(sb)
-        ra = fleet_step(sa, trace, 0)
-        rb = sb.step(trace, 0, batch=True)
-        assert report_max_abs_diff(ra, rb) < TOL
+
+class TestStepErrors:
+    def test_failed_step_leaves_system_untouched(self):
+        """Every check runs before the first write: a step that raises
+        keeps the grants, the observed demands and pending blackouts."""
+        (system, trace), _ = make_pair()
+        deploy_round_robin(system)
+        system.step(trace, 0)
+        system.apply_schedule({"vm0": "BST-pm0"})
+        trace.add("vm1", "Nowhere", SourceSeries(
+            rps=np.ones(trace.n_intervals),
+            bytes_per_req=np.full(trace.n_intervals, 2000.0),
+            cpu_time_per_req=np.full(trace.n_intervals, 0.01)))
+        granted = {pm.pm_id: dict(pm.granted) for pm in system.pms}
+        demands = dict(system.last_demands)
+        pending = dict(system._pending_blackout_s)
+        with pytest.raises(KeyError, match="Nowhere"):
+            system.step(trace, 1)
+        assert {pm.pm_id: pm.granted for pm in system.pms} == granted
+        assert system.last_demands == demands
+        assert system._pending_blackout_s == pending

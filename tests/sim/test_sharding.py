@@ -1,9 +1,11 @@
 """Differential tests: sharded per-DC stepping vs the monolithic path.
 
-The contract extends the PR 2 batch/scalar one: ``ShardedFleet.step_report``
-reproduces ``system.step(batch=True)`` within 1e-9 on every
-:class:`~repro.sim.multidc.IntervalReport` field, ``step_metrics`` reproduces
-the in-memory reduction :func:`repro.sim.metrics.metrics_of` within 1e-9,
+Both run the same kernel (:func:`repro.sim.fleet.step_range`), the sharded
+facade once per DC range.  ``ShardedFleet.step_report`` reproduces
+``system.step`` exactly on every per-VM and per-PM statistic and within
+1e-9 on the report totals (summed shard by shard), ``step_metrics``
+reproduces the in-memory reduction :func:`repro.sim.metrics.metrics_of`
+within 1e-9,
 both leave the system in an equivalent state (grants, ``last_demands``,
 pending blackouts), and the per-shard reductions obey the cross-shard
 conservation laws (:func:`repro.arena.invariants.check_shard_conservation`)
@@ -84,12 +86,85 @@ def assert_metrics_close(a, b, tol=TOL):
     assert a.t == b.t and a.interval_s == b.interval_s
 
 
+def assert_stats_identical(ra, rb):
+    """Every per-VM and per-PM statistic is equal, bit for bit, and
+    reported in the same order; so are placement and migrations."""
+    assert list(ra.vms) == list(rb.vms)
+    assert list(ra.pms) == list(rb.pms)
+    for vm_id, va in ra.vms.items():
+        vb = rb.vms[vm_id]
+        assert va == vb, vm_id
+        assert list(va.rt_by_source) == list(vb.rt_by_source), vm_id
+    for pm_id, pa in ra.pms.items():
+        assert pa == rb.pms[pm_id], pm_id
+    assert ra.placement == rb.placement
+    assert ra.migrations == rb.migrations
+    assert (ra.t, ra.interval_s) == (rb.t, rb.interval_s)
+
+
+class TestStepReportIdentical:
+    """``step`` is the kernel over one range, ``step_report`` over one
+    range per DC: their per-VM and per-PM statistics are the same floats."""
+
+    def test_scheduled_run_with_failures(self):
+        reports = []
+        for sharded in (False, True):
+            (system, trace), _ = make_pair(n_vms=16, T=6, seed=13)
+            deploy_round_robin(system)
+            system.vms["ghost"] = VirtualMachine(vm_id="ghost")
+            system.contracts.setdefault("ghost", system.contracts["vm0"])
+            system.deploy("ghost", system.datacenters[1].pms[0].pm_id)
+            scheduler = HierarchicalScheduler(
+                estimator=OracleEstimator(), sla_move_threshold=0.9)
+            injector = FailureInjector(rng=np.random.default_rng(99),
+                                       fail_prob_per_interval=0.2,
+                                       repair_intervals=2, max_down=2)
+            reports.append(run_simulation(
+                system, trace, scheduler=scheduler,
+                failure_injector=injector, sharded=sharded).reports)
+        mono, shard = reports
+        assert len(mono) == len(shard) == 6
+        for ra, rb in zip(mono, shard):
+            assert_stats_identical(ra, rb)
+        assert any(r.migrations for r in mono)
+        assert any(not p.on for r in mono for p in r.pms.values())
+
+    def test_unplaced_and_migrated(self):
+        (sa, trace), (sb, _) = make_pair(n_vms=10)
+        for s in (sa, sb):
+            pm_ids = [pm.pm_id for pm in s.pms]
+            for i, vm_id in enumerate(list(s.vms)[3:]):
+                s.deploy(vm_id, pm_ids[i % len(pm_ids)])
+            s.apply_schedule({"vm3": pm_ids[-1], "vm4": pm_ids[0]})
+        shf = ShardedFleet.for_system(sb, trace)
+        ra, rb = sa.step(trace, 0), shf.step_report(trace, 0)
+        assert_stats_identical(ra, rb)
+        assert sum(1 for v in ra.vms.values() if not v.pm_id) == 3
+        assert ra.vms["vm3"].blackout_fraction > 0.0
+        assert_stats_identical(sa.step(trace, 1), shf.step_report(trace, 1))
+
+    def test_skewed_and_empty_shards(self):
+        (sa, trace), (sb, _) = make_pair(seed=17)
+        deploy_skewed(sa)
+        deploy_skewed(sb)
+        shf = ShardedFleet.for_system(sb, trace)
+        for t in range(trace.n_intervals):
+            assert_stats_identical(sa.step(trace, t),
+                                   shf.step_report(trace, t))
+
+    def test_nothing_placed(self):
+        (sa, trace), (sb, _) = make_pair()
+        assert_stats_identical(
+            sa.step(trace, 0),
+            ShardedFleet.for_system(sb, trace).step_report(trace, 0))
+
+
 class TestStepReportParity:
     def test_basic_interval(self):
         (sa, trace), (sb, _) = make_pair()
         deploy_round_robin(sa)
         deploy_round_robin(sb)
-        ra = sa.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0)
         rb = ShardedFleet.for_system(sb, trace).step_report(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
         assert_system_states_match(sa, sb, tol=TOL)
@@ -100,7 +175,7 @@ class TestStepReportParity:
         deploy_round_robin(sb)
         shf = ShardedFleet.for_system(sb, trace)
         for t in range(trace.n_intervals):
-            ra = sa.step(trace, t, batch=True)
+            ra = sa.step(trace, t)
             rb = shf.step_report(trace, t)
             assert report_max_abs_diff(ra, rb) < TOL
         assert_system_states_match(sa, sb, tol=TOL)
@@ -113,7 +188,7 @@ class TestStepReportParity:
                 pm = [p for dc in sa.datacenters for p in dc.pms][i % 8]
                 sa.deploy(vm_id, pm.pm_id)
                 sb.deploy(vm_id, pm.pm_id)
-        ra = sa.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0)
         rb = ShardedFleet.for_system(sb, trace).step_report(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
         unplaced = [v for v in rb.vms.values() if not v.pm_id]
@@ -129,7 +204,7 @@ class TestStepReportParity:
         moves = {vm_id: target for vm_id in list(sa.vms)[:4]}
         ma = sa.apply_schedule(moves)
         mb = sb.apply_schedule(moves)
-        ra = sa.step(trace, 0, migrations=ma, batch=True)
+        ra = sa.step(trace, 0, migrations=ma)
         rb = ShardedFleet.for_system(sb, trace).step_report(
             trace, 0, migrations=mb)
         assert ra.profit.migration_penalty_eur > 0
@@ -144,7 +219,7 @@ class TestStepReportParity:
             for dc in s.datacenters[1:]:
                 for pm in dc.pms:
                     pm.set_power(False)
-        ra = sa.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0)
         rb = ShardedFleet.for_system(sb, trace).step_report(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
 
@@ -156,7 +231,7 @@ class TestStepMetricsParity:
         deploy_round_robin(sb)
         shf = ShardedFleet.for_system(sb, trace)
         for t in range(trace.n_intervals):
-            expected = metrics_of(sa.step(trace, t, batch=True))
+            expected = metrics_of(sa.step(trace, t))
             got = shf.step_metrics(trace, t)
             assert_metrics_close(got, expected)
         # KPI-only mode still performs the full state writeback.
@@ -220,7 +295,7 @@ class TestEmptyShards:
         deploy_skewed(sa)
         deploy_skewed(sb)
         shf = ShardedFleet.for_system(sb, trace)
-        ra = sa.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0)
         rb = shf.step_report(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
         empty = [s for s in shf.last_shard_metrics if s.n_placed == 0]
@@ -235,12 +310,12 @@ class TestEmptyShards:
         deploy_skewed(sb)
         shf = ShardedFleet.for_system(sb, trace)
         m = shf.step_metrics(trace, 0)
-        assert_metrics_close(m, metrics_of(sa.step(trace, 0, batch=True)))
+        assert_metrics_close(m, metrics_of(sa.step(trace, 0)))
         assert_shard_conservation(shf, m)
 
     def test_nothing_placed_at_all(self):
         (sa, trace), (sb, _) = make_pair()
-        ra = sa.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0)
         shf = ShardedFleet.for_system(sb, trace)
         rb = shf.step_report(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
@@ -320,7 +395,7 @@ class TestFacadeCache:
         deploy_round_robin(sb)
         stale = ShardedFleet.for_system(sb, trace)
         scaled = trace.scaled(1.7)
-        ra = sa.step(scaled, 0, batch=True)
+        ra = sa.step(scaled, 0)
         rb = stale.step_report(scaled, 0)
         assert report_max_abs_diff(ra, rb) < TOL
 
@@ -336,12 +411,6 @@ class TestFacadeCache:
 
 
 class TestEngineShardedFlag:
-    def test_sharded_requires_batch(self):
-        (system, trace), _ = make_pair()
-        deploy_round_robin(system)
-        with pytest.raises(ValueError, match="requires batch"):
-            run_simulation(system, trace, sharded=True, batch=False)
-
     def test_keep_reports_false_requires_sink(self):
         (system, trace), _ = make_pair()
         deploy_round_robin(system)
@@ -375,8 +444,8 @@ class TestDeployMany:
         sb.deploy_many({vm_id: pm_ids[i % len(pm_ids)]
                         for i, vm_id in enumerate(sb.vms)})
         assert sa.placement() == sb.placement()
-        ra = sa.step(trace, 0, batch=True)
-        rb = sb.step(trace, 0, batch=True)
+        ra = sa.step(trace, 0)
+        rb = sb.step(trace, 0)
         assert report_max_abs_diff(ra, rb) < TOL
 
     def test_validates_before_mutating(self):
