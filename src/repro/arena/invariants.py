@@ -500,45 +500,28 @@ def assert_system_states_match(sys_a, sys_b,
 def check_spec_parity(spec, horizon: Optional[int] = None) -> float:
     """Replay a scenario spec's physics on the array and scalar steppers.
 
-    Builds the spec's fleet, workload, tariffs and failure schedule
-    twice and runs them without a scheduler — once through
-    :func:`~repro.sim.engine.run_simulation`, whose intervals are played
-    by :meth:`MultiDCSystem.step`, once through the scalar reference
-    loop :meth:`MultiDCSystem._step_scalar` in the same interval order
-    (tariffs, then failures, then the step) — and returns the worst
+    Builds the spec's world twice (``spec.build_world()``) and runs it
+    without a scheduler — once through
+    :func:`~repro.sim.engine.run_simulation`, once opening each interval
+    with the same :func:`~repro.sim.engine.begin_interval` and playing it
+    with the scalar reference loop :meth:`MultiDCSystem._step_scalar` —
+    and returns the worst
     :func:`~repro.sim.fleet.report_max_abs_diff` across the run.  A
     value above :data:`PARITY_TOL` means the array/scalar contract broke
-    on this scenario shape.  ``spec`` only needs the engine's fleet/
-    workload/tariffs/failures/horizon fields (variants are ignored: the
-    parity under audit is the physics substrate every variant shares).
+    on this scenario shape.  Variants are ignored: the parity under
+    audit is the physics substrate every variant shares.
     """
-    from ..sim.engine import run_simulation
-
-    def build():
-        if spec.fleet is None:
-            raise ValueError("spec has no fleet")
-        system, fleet_trace = spec.fleet.build()
-        if spec.workload is None:
-            raise ValueError("spec has no workload")
-        trace = spec.workload.build(fleet_trace)
-        if spec.tariffs is not None:
-            system.tariff_schedule = spec.tariffs.build(
-                system, trace.n_intervals, trace.interval_s)
-        injector = (spec.failures.build() if spec.failures is not None
-                    else None)
-        return system, trace, injector
+    from ..sim.engine import begin_interval, run_simulation
 
     horizon = spec.horizon if horizon is None else horizon
-    system, trace, injector = build()
+    system, trace, injector = spec.build_world()
     fast = run_simulation(system, trace, failure_injector=injector,
                           stop=horizon)
-    system, trace, injector = build()
+    system, trace, injector = spec.build_world()
     scalar = []
     for t in range(len(fast)):
-        system.apply_tariffs(t)
-        if injector is not None:
-            injector.step(system, t)
-        scalar.append(system._step_scalar(trace, t, migrations=[]))
+        migrations = begin_interval(system, trace, t, None, injector)
+        scalar.append(system._step_scalar(trace, t, migrations=migrations))
     return max((report_max_abs_diff(a, b)
                 for a, b in zip(scalar, fast.reports)),
                default=0.0)

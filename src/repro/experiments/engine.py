@@ -50,6 +50,7 @@ from ..ml.calibration import RiskConfig
 from ..ml.predictors import ModelSet
 from ..sim.engine import RunHistory, RunSummary, Scheduler, run_simulation
 from ..sim.failures import FailureInjector
+from ..sim.metrics import SERIES_FIELDS, InMemoryMetricsSink
 from ..sim.monitor import Monitor
 from ..sim.multidc import MultiDCSystem
 from ..sim.tariffs import (TariffSchedule, flat_tariff, solar_tariff,
@@ -417,15 +418,46 @@ class ScenarioSpec:
     seed: int = 7
     params: Mapping[str, object] = field(default_factory=dict)
 
+    def build_world(self, variant: Optional[VariantSpec] = None,
+                    base_trace: Optional[WorkloadTrace] = None
+                    ) -> Tuple[MultiDCSystem, WorkloadTrace,
+                               Optional[FailureInjector]]:
+        """A fresh ``(system, trace, failure injector)`` for one run.
+
+        The one world builder, in this order: the fleet (``variant``'s,
+        else the scenario's), the trace (``base_trace`` unless the
+        workload is fleet-derived), ``variant.trace_scale``, tariffs,
+        then the injector (``None`` without a :class:`FailureSpec`).
+        Scenario runs, served sessions and the arena's parity replay
+        all build through it.
+        """
+        fleet = (variant.fleet if variant is not None else None) or self.fleet
+        if fleet is None:
+            where = f": variant {variant.name!r}" if variant else ""
+            raise ValueError(f"scenario {self.name!r}{where} has no fleet")
+        system, fleet_trace = fleet.build()
+        if self.workload is None:
+            raise ValueError(f"scenario {self.name!r} has no workload")
+        if base_trace is not None and self.workload.kind != "fleet":
+            trace = base_trace
+        else:
+            trace = self.workload.build(fleet_trace)
+        if variant is not None and variant.trace_scale is not None:
+            trace = trace.scaled(variant.trace_scale)
+        if self.tariffs is not None:
+            system.tariff_schedule = self.tariffs.build(
+                system, trace.n_intervals, trace.interval_s)
+        injector = (self.failures.build() if self.failures is not None
+                    else None)
+        return system, trace, injector
+
 
 # =============================================================================
 # Result layer
 # =============================================================================
 
 #: The per-interval metric arrays every variant exposes.
-SERIES_METRICS: Tuple[str, ...] = ("sla", "watts", "pms_on", "migrations",
-                                   "profit_eur", "revenue_eur",
-                                   "energy_cost_eur", "total_rps")
+SERIES_METRICS: Tuple[str, ...] = tuple(SERIES_FIELDS)
 
 
 @dataclass
@@ -465,19 +497,6 @@ class VariantResult:
             if len(self.series["pms_on"]) else 0.0,
             "run_s": self.run_s,
         }
-
-
-def _variant_series(history: RunHistory) -> Dict[str, np.ndarray]:
-    return {
-        "sla": history.sla_series(),
-        "watts": history.watts_series(),
-        "pms_on": history.pms_on_series(),
-        "migrations": history.migrations_series(),
-        "profit_eur": history.profit_series(),
-        "revenue_eur": history.revenue_series(),
-        "energy_cost_eur": history.energy_cost_series(),
-        "total_rps": history.total_rps_series(),
-    }
 
 
 @dataclass
@@ -685,9 +704,11 @@ def run_scenario(spec: Union[ScenarioSpec, str],
     KPIs are streamed to its sink as they are played (the sink is closed
     by this function).  Streaming implies ``keep_reports=False`` unless
     overridden: per-interval reports are dropped after feeding the sink,
-    the variant's summary/series come from the sink (bit-identical to the
-    in-memory reduction), and peak memory stays flat in horizon length.
-    Disk-sink paths land in :attr:`ScenarioResult.streams`.
+    and peak memory stays flat in horizon length.  Without a factory each
+    variant feeds an :class:`~repro.sim.metrics.InMemoryMetricsSink`, so
+    every variant's summary and series come from its sink through the
+    one KPI reduction.  Disk-sink paths land in
+    :attr:`ScenarioResult.streams`.
     """
     if isinstance(spec, str):
         spec = REGISTRY.spec(spec)
@@ -728,20 +749,7 @@ def run_scenario(spec: Union[ScenarioSpec, str],
     streams: Dict[str, str] = {}
     for variant in spec.variants:
         t0 = time.perf_counter()
-        fleet = variant.fleet or spec.fleet
-        if fleet is None:
-            raise ValueError(f"scenario {spec.name!r}: variant "
-                             f"{variant.name!r} has no fleet")
-        system, fleet_trace = fleet.build()
-        if spec.workload is not None and spec.workload.kind == "fleet":
-            trace = spec.workload.build(fleet_trace)
-        elif base_trace is not None:
-            trace = base_trace
-        else:
-            raise ValueError(f"scenario {spec.name!r} has no workload")
-        if variant.trace_scale is not None:
-            trace = trace.scaled(variant.trace_scale)
-
+        system, trace, injector = spec.build_world(variant, base_trace)
         variant_models = models
         variant_monitor = None
         if variant.training is not None:
@@ -750,15 +758,10 @@ def run_scenario(spec: Union[ScenarioSpec, str],
                 trained[key] = _train(variant.training, spec, base_trace)
             variant_models, variant_monitor = trained[key]
 
-        if spec.tariffs is not None:
-            system.tariff_schedule = spec.tariffs.build(
-                system, trace.n_intervals, trace.interval_s)
-        injector = (spec.failures.build() if spec.failures is not None
-                    else None)
         scheduler, live_monitor = variant.scheduler.build(variant_models,
                                                           risk=variant.risk)
         sink = (sink_factory(variant.name) if sink_factory is not None
-                else None)
+                else InMemoryMetricsSink())
         try:
             history = run_simulation(
                 system, trace, scheduler=scheduler,
@@ -767,18 +770,12 @@ def run_scenario(spec: Union[ScenarioSpec, str],
                 stop=spec.horizon, sink=sink, keep_reports=keep,
                 sharded=variant.sharded)
         finally:
-            if sink is not None:
-                sink.close()
-        if keep:
-            summary, series = history.summary(), _variant_series(history)
-        else:
-            # The sink performed the identical reduction incrementally.
-            summary, series = sink.summary(), sink.series()
-        if sink is not None and getattr(sink, "path", None):
+            sink.close()
+        if getattr(sink, "path", None):
             streams[variant.name] = sink.path
         variants[variant.name] = VariantResult(
-            name=variant.name, summary=summary,
-            series=series,
+            name=variant.name, summary=sink.summary(),
+            series=sink.series(),
             run_s=time.perf_counter() - t0,
             history=history, trace=trace, models=variant_models,
             monitor=variant_monitor or live_monitor,

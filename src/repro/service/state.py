@@ -17,8 +17,8 @@ and exits; the service keeps them resident:
   vectorized ``required_resources_batch`` call); mutations (:meth:`step`)
   go through the session lock and invalidate it.
 * :class:`SessionStore` — named sessions, created from registered
-  scenario specs (fleet + workload + training reuse the exact
-  declarative machinery of :func:`repro.experiments.engine.run_scenario`).
+  scenario specs through the world builder and training key of
+  :func:`repro.experiments.engine.run_scenario`.
 
 Per-query placement semantics are pinned to the offline path: a ``place``
 for VM ``v`` at interval ``t`` returns exactly what
@@ -40,7 +40,7 @@ from ..core.model import ObjectiveWeights
 from ..experiments.engine import (REGISTRY, ScenarioSpec, TrainingSpec,
                                   _train, _training_key)
 from ..ml.predictors import ModelSet
-from ..sim.engine import RunHistory
+from ..sim.engine import RunHistory, run_simulation
 from ..sim.monitor import Monitor
 from ..sim.multidc import MultiDCSystem
 from ..workload.traces import WorkloadTrace
@@ -120,9 +120,9 @@ class Session:
     All access to the mutable pieces (``t``, the system's placement, the
     cached round) goes through :attr:`lock`; the micro-batcher and the
     HTTP handlers both take it.  ``place`` is a pure query — it never
-    commits the returned assignment — while :meth:`step` advances the
-    simulation clock exactly like one iteration of
-    :func:`repro.sim.engine.run_simulation`.
+    commits the returned assignment — while :meth:`step` plays each
+    interval through :func:`repro.sim.engine.run_simulation`, packing
+    the whole fleet on the warm round.
     """
 
     name: str
@@ -196,14 +196,25 @@ class Session:
         return out
 
     # -- mutation --------------------------------------------------------------
+    def _pack(self, system: MultiDCSystem, trace: WorkloadTrace,
+              t: int) -> Optional[Dict[str, str]]:
+        """The session's scheduler: pack the full fleet on the warm round."""
+        round_ = self.current_round()
+        problem = round_.problem()
+        if not problem.requests:
+            return None
+        return round_.pack(problem,
+                           min_gain_eur=self.min_gain_eur).assignment
+
     def step(self, rounds: int = 1, schedule: Optional[bool] = None
              ) -> List[dict]:
-        """Advance ``rounds`` intervals; one :func:`run_simulation` body each.
+        """Play ``rounds`` intervals, each through :func:`run_simulation`.
 
         With scheduling on (the default), each interval packs the full
         fleet through the warm round and applies the assignment before
         the interval is played — the paper's 10-minute decision loop,
-        running inside the server.
+        running inside the server.  A step that would run past the end
+        of the trace raises ``IndexError`` before it plays anything.
         """
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
@@ -211,25 +222,17 @@ class Session:
             schedule = self.schedule_on_step
         reports: List[dict] = []
         with self.lock:
+            if self.t + rounds > self.trace.n_intervals:
+                raise IndexError(
+                    f"session {self.name!r} exhausted its trace "
+                    f"(t={self.t}, rounds={rounds}, "
+                    f"n_intervals={self.trace.n_intervals})")
             for _ in range(rounds):
-                if self.t >= self.trace.n_intervals:
-                    raise IndexError(
-                        f"session {self.name!r} exhausted its trace "
-                        f"(t={self.t})")
-                migrations = []
-                self.system.apply_tariffs(self.t)
-                if schedule:
-                    round_ = self.current_round()
-                    problem = round_.problem()
-                    if problem.requests:
-                        proposal = round_.pack(
-                            problem,
-                            min_gain_eur=self.min_gain_eur).assignment
-                        if proposal:
-                            migrations = self.system.apply_schedule(
-                                proposal)
-                report = self.system.step(self.trace, self.t,
-                                          migrations=migrations)
+                run = run_simulation(
+                    self.system, self.trace,
+                    scheduler=self._pack if schedule else None,
+                    start=self.t, stop=self.t + 1)
+                report = run.reports[0]
                 self.history.append(report)
                 self.t += 1
                 self.invalidate_round()
@@ -277,18 +280,17 @@ def session_from_scenario(name: str, scenario: str,
                           **overrides) -> Session:
     """Build a live session from a registered scenario spec.
 
-    The scenario's declarative fleet/workload/training specs are reused
-    verbatim: the fleet builder yields the system, the workload spec the
-    trace, and — for ``estimator='ml'`` — the training spec resolves
-    through ``registry.get_or_train``, so every session with the same
-    training knobs shares one warm model set.
+    The world comes from :meth:`ScenarioSpec.build_world`, like every
+    scenario run's (served sessions play no failures, so the injector is
+    dropped).  For ``estimator='ml'`` the training spec resolves through
+    ``registry.get_or_train``, so every session with the same training
+    knobs shares one warm model set.
     """
     spec = REGISTRY.spec(scenario, **overrides)
     if spec.fleet is None or spec.workload is None:
         raise ValueError(f"scenario {scenario!r} has no fleet/workload "
                          f"(analysis-only scenarios cannot be served)")
-    system, fleet_trace = spec.fleet.build()
-    trace = spec.workload.build(fleet_trace)
+    system, trace, _injector = spec.build_world()
     if estimator == "oracle":
         est: Estimator = OracleEstimator()
     elif estimator == "ml":
@@ -302,9 +304,6 @@ def session_from_scenario(name: str, scenario: str,
     else:
         raise ValueError(f"unknown estimator {estimator!r} "
                          f"(expected 'ml' or 'oracle')")
-    if spec.tariffs is not None:
-        system.tariff_schedule = spec.tariffs.build(
-            system, trace.n_intervals, trace.interval_s)
     return Session(name=name, system=system, trace=trace, estimator=est,
                    min_gain_eur=min_gain_eur)
 

@@ -1,17 +1,18 @@
-"""Discrete-time simulation engine and run history.
+"""Discrete-time simulation engine: the interval body, the loop, the history.
 
-The paper runs 24-hour experiments with a scheduling round every 10 minutes.
-:func:`run_simulation` is that loop: each interval, optionally invoke the
-scheduler, execute its placement (migrations included), then play the
-interval's load and account energy, SLA and money.  An interval is played
-by :meth:`~repro.sim.multidc.MultiDCSystem.step`, or per datacenter by
+The paper runs 24-hour experiments with a scheduling round every 10
+minutes (§IV).  :func:`begin_interval` opens each interval (tariffs,
+failures, scheduler, placement); :func:`run_simulation` then plays the
+interval's load and accounts energy, SLA and money.  An interval is
+played by :meth:`~repro.sim.multidc.MultiDCSystem.step`, or per DC by
 :class:`~repro.sim.sharding.ShardedFleet` with ``sharded=True``; both run
 the one array kernel :func:`repro.sim.fleet.step_range`.
 
 The per-interval :class:`~repro.sim.multidc.IntervalReport` objects are kept
 in a :class:`RunHistory`, which exposes the aggregate series the paper plots
-(SLA, watts, active PMs, migrations, money) as numpy arrays and computes the
-Table III summary metrics (avg EUR/h, avg W, avg SLA).
+(SLA, watts, active PMs, migrations, money) as numpy arrays and reduces its
+reports to the Table III summary metrics (avg EUR/h, avg W, avg SLA)
+through the one KPI reduction of :mod:`repro.sim.metrics`.
 """
 
 from __future__ import annotations
@@ -21,43 +22,19 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from ..core.profit import ProfitBreakdown
+from .metrics import IntervalMetrics, RunSummary, metrics_of, summarize
 from .monitor import Monitor
-from .multidc import IntervalReport, MultiDCSystem
+from .multidc import IntervalReport, MigrationEvent, MultiDCSystem
+from .sharding import ShardedFleet
 from ..workload.traces import WorkloadTrace
 
-__all__ = ["Scheduler", "RunHistory", "RunSummary", "run_simulation"]
+__all__ = ["Scheduler", "RunHistory", "RunSummary", "begin_interval",
+           "run_simulation"]
 
 #: A scheduler maps (system, trace, t) to a placement ``{vm_id: pm_id}``;
 #: returning None (or an empty mapping) keeps the current placement.
 Scheduler = Callable[[MultiDCSystem, WorkloadTrace, int],
                      Optional[Mapping[str, str]]]
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Aggregates over a whole run (the paper's Table III columns)."""
-
-    n_intervals: int
-    hours: float
-    avg_sla: float
-    avg_watts: float
-    total_energy_wh: float
-    revenue_eur: float
-    migration_penalty_eur: float
-    energy_cost_eur: float
-    profit_eur: float
-    n_migrations: int
-    n_inter_dc_migrations: int
-
-    @property
-    def avg_eur_per_hour(self) -> float:
-        """Average net profit rate, EUR/h (Table III 'Avg Euro/h')."""
-        return self.profit_eur / self.hours if self.hours > 0 else 0.0
-
-    @property
-    def avg_revenue_per_hour(self) -> float:
-        return self.revenue_eur / self.hours if self.hours > 0 else 0.0
 
 
 @dataclass
@@ -97,12 +74,6 @@ class RunHistory:
     def profit_series(self) -> np.ndarray:
         return self.series(lambda r: r.profit.profit_eur)
 
-    def revenue_series(self) -> np.ndarray:
-        return self.series(lambda r: r.profit.revenue_eur)
-
-    def energy_cost_series(self) -> np.ndarray:
-        return self.series(lambda r: r.profit.energy_cost_eur)
-
     def vm_sla_series(self, vm_id: str) -> np.ndarray:
         return self.series(
             lambda r: r.vms[vm_id].sla if vm_id in r.vms else np.nan)
@@ -118,25 +89,13 @@ class RunHistory:
             lambda r: sum(v.load.rps for v in r.vms.values()))
 
     # -- export -----------------------------------------------------------------
+    def metrics(self) -> List[IntervalMetrics]:
+        """Each report reduced to its :class:`IntervalMetrics` record."""
+        return [metrics_of(r) for r in self.reports]
+
     def to_rows(self) -> List[Dict[str, float]]:
         """One flat dict per interval (for DataFrames / CSV / plotting)."""
-        rows: List[Dict[str, float]] = []
-        for r in self.reports:
-            rows.append({
-                "t": r.t,
-                "mean_sla": r.mean_sla,
-                "total_watts": r.total_watts,
-                "energy_wh": r.total_energy_wh,
-                "pms_on": r.n_pms_on,
-                "migrations": r.n_migrations,
-                "inter_dc_migrations": r.n_inter_dc_migrations,
-                "revenue_eur": r.profit.revenue_eur,
-                "migration_penalty_eur": r.profit.migration_penalty_eur,
-                "energy_cost_eur": r.profit.energy_cost_eur,
-                "profit_eur": r.profit.profit_eur,
-                "total_rps": sum(v.load.rps for v in r.vms.values()),
-            })
-        return rows
+        return [m.to_row() for m in self.metrics()]
 
     def to_csv(self, path) -> None:
         """Write the interval rows as CSV (stdlib only)."""
@@ -151,26 +110,28 @@ class RunHistory:
 
     # -- summary ----------------------------------------------------------------
     def summary(self) -> RunSummary:
-        if not self.reports:
-            return RunSummary(0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
-        hours = len(self.reports) * self.interval_s / 3600.0
-        total = ProfitBreakdown()
-        for r in self.reports:
-            total = total + r.profit
-        return RunSummary(
-            n_intervals=len(self.reports),
-            hours=hours,
-            avg_sla=float(np.mean(self.sla_series())),
-            avg_watts=float(np.mean(self.watts_series())),
-            total_energy_wh=float(sum(r.total_energy_wh
-                                      for r in self.reports)),
-            revenue_eur=total.revenue_eur,
-            migration_penalty_eur=total.migration_penalty_eur,
-            energy_cost_eur=total.energy_cost_eur,
-            profit_eur=total.profit_eur,
-            n_migrations=int(sum(r.n_migrations for r in self.reports)),
-            n_inter_dc_migrations=int(sum(r.n_inter_dc_migrations
-                                          for r in self.reports)))
+        return summarize(self.metrics())
+
+
+def begin_interval(system: MultiDCSystem, trace: WorkloadTrace, t: int,
+                   scheduler: Optional[Scheduler] = None,
+                   failure_injector=None) -> List[MigrationEvent]:
+    """Open interval ``t``: prices, failures, then the scheduling round.
+
+    The one interval body, in the paper's order: apply the interval's
+    tariffs (the scheduler and the accounting see the same prices), step
+    the failure injector (orphaned VMs are re-placed in the same round),
+    then run ``scheduler`` and apply its placement.  Returns the
+    migrations the interval's accounting charges.
+    """
+    system.apply_tariffs(t)
+    if failure_injector is not None:
+        failure_injector.step(system, t)
+    if scheduler is not None:
+        proposal = scheduler(system, trace, t)
+        if proposal:
+            return system.apply_schedule(proposal)
+    return []
 
 
 def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
@@ -195,9 +156,8 @@ def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
         When given, records noisy observations of every interval (for ML
         training harvests).
     failure_injector:
-        Optional :class:`repro.sim.failures.FailureInjector`; stepped before
-        the scheduler each interval, so orphaned VMs can be re-placed in the
-        same round.
+        Optional :class:`repro.sim.failures.FailureInjector`, stepped by
+        :func:`begin_interval` before the scheduler.
     sink:
         Optional :class:`~repro.sim.metrics.MetricsSink`; receives one
         :class:`~repro.sim.metrics.IntervalMetrics` per interval as it is
@@ -223,21 +183,12 @@ def run_simulation(system: MultiDCSystem, trace: WorkloadTrace,
     stop = trace.n_intervals if stop is None else stop
     if not 0 <= start <= stop <= trace.n_intervals:
         raise ValueError(f"bad range [{start}, {stop})")
-    if sink is not None or sharded:
-        from .metrics import metrics_of  # deferred: metrics imports us
-        from .sharding import ShardedFleet
     history = RunHistory()
     for t in range(start, stop):
-        migrations = []
-        # Time-varying tariffs must be visible to the scheduler *and* the
-        # accounting of the same interval.
-        system.apply_tariffs(t)
-        if failure_injector is not None:
-            failure_injector.step(system, t)
-        if scheduler is not None and (t - start) % schedule_every == 0:
-            proposal = scheduler(system, trace, t)
-            if proposal:
-                migrations = system.apply_schedule(proposal)
+        due = (t - start) % schedule_every == 0
+        migrations = begin_interval(system, trace, t,
+                                    scheduler if due else None,
+                                    failure_injector)
         if sharded:
             shf = ShardedFleet.for_system(system, trace)
             if keep_reports or monitor is not None:

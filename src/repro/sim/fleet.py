@@ -17,12 +17,12 @@ the one kernel of this module:
   :func:`~repro.sim.multidc.proportional_allocation_batch`, response times
   via :meth:`ResponseTimeModel.process_rt_arrays`, per-source SLA via
   grouped ``bincount`` reductions, and power/energy/money per PM.  It
-  writes the grants back into each :class:`PhysicalMachine`, records the
-  observed demands and consumes pending migration blackouts exactly like
-  the scalar loop, so schedulers see an identical system afterwards.
-  ``step`` is one range covering every PM; the sharded facade is one
-  range per datacenter.  Per-VM and per-PM statistics are boxed once,
-  straight from the result arrays, only when a report is wanted.
+  writes nothing; :func:`write_steps` writes back the grants, observed
+  demands and consumed blackouts like the scalar loop, once every range
+  of the interval has computed.  ``step`` is one range covering every
+  PM; the sharded facade is one range per datacenter.  Per-VM and per-PM
+  statistics are boxed once, straight from the result arrays, only when
+  a report is wanted.
 
 Contract: the scalar loop :meth:`MultiDCSystem._step_scalar` is the
 executable reference, and ``step`` agrees with it within 1e-9 on every
@@ -35,20 +35,20 @@ tournament draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .demand import LoadVector
-from .machines import Resources
+from .machines import PhysicalMachine, Resources
 from .multidc import (IntervalReport, MultiDCSystem, PMIntervalStats,
                       VMIntervalStats, proportional_allocation_batch)
 from ..core.profit import migration_penalty_eur
 from ..core.sla import sla_fulfillment
 from ..workload.traces import WorkloadTrace
 
-__all__ = ["FleetState", "RangeStep", "step_range", "unplaced_traced",
-           "unplaced_vm_stats", "report_max_abs_diff"]
+__all__ = ["FleetState", "RangeStep", "step_range", "write_steps",
+           "unplaced_traced", "unplaced_vm_stats", "report_max_abs_diff"]
 
 
 def report_max_abs_diff(a: IntervalReport, b: IntervalReport) -> float:
@@ -358,7 +358,7 @@ class RangeStep:
     The per-VM arrays follow the range's placement order (PM by PM, each
     PM's VMs in hosting order); the per-PM arrays follow the range.
     ``vms`` and ``pms`` hold the boxed statistics when the step was asked
-    for them and are empty otherwise.
+    for them and are empty otherwise; the last three are the writes.
     """
 
     placed: np.ndarray          # fleet columns of the placed VMs
@@ -372,11 +372,13 @@ class RangeStep:
     energy_cost: np.ndarray
     vms: Dict[str, VMIntervalStats]
     pms: Dict[str, PMIntervalStats]
+    consumed: List[str]         # VMs whose blackout was played
+    grants: List[Tuple[PhysicalMachine, Dict[str, Resources]]]
+    demands: Dict[str, Resources]
 
 
 def step_range(system: MultiDCSystem, fleet: FleetState, t: int,
                interval_s: float, lo: int, hi: int,
-               last_demands: Dict[str, Resources],
                box: bool) -> RangeStep:
     """Play interval ``t`` on the PMs ``[lo, hi)`` of ``fleet``.
 
@@ -385,11 +387,9 @@ def step_range(system: MultiDCSystem, fleet: FleetState, t: int,
     array operations over the range's placed VMs.  Nothing couples VMs
     on different hosts within an interval, and every per-VM and per-PM
     value is elementwise, so a range computes exactly the values a wider
-    range would.  Every check runs before the first write: a step that
-    raises leaves the system untouched.  The writes are the grants of
-    the range's PMs, the consumed blackouts and the observed demands
-    (added to ``last_demands``).  ``box`` also builds the per-VM and
-    per-PM statistics of the report.
+    range would.  It writes nothing: grants, consumed blackouts and
+    observed demands come back for :func:`write_steps`.  ``box`` also
+    builds the per-VM and per-PM statistics of the report.
     """
     vm_index = fleet.vm_index
     pms = fleet.pms[lo:hi]
@@ -509,11 +509,9 @@ def step_range(system: MultiDCSystem, fleet: FleetState, t: int,
                        for dc in system.datacenters])[fleet.pm_loc[lo:hi]]
     energy_cost = energy_wh / 1000.0 * prices
 
-    # 8. Write back — consumed blackouts, grants, observed demands —
+    # 8. What the write-back installs — grants and observed demands —
     # boxing the statistics on the way when asked, straight from the
     # result arrays.
-    for vm_id in consumed:
-        del pending[vm_id]
     d_cpu_l, d_mem_l, d_bw_l = d_cpu.tolist(), d_mem.tolist(), d_bw.tolist()
     g_cpu_l, g_mem_l, g_bw_l = g_cpu.tolist(), g_mem.tolist(), g_bw.tolist()
     locations = fleet.pm_loc_names
@@ -534,6 +532,8 @@ def step_range(system: MultiDCSystem, fleet: FleetState, t: int,
         frac_l, revenue_l = frac.tolist(), revenue.tolist()
         queue_l = rtm.queue_length_arrays(rps, d_cpu, g_cpu,
                                           interval_s).tolist()
+    grants: List[Tuple[PhysicalMachine, Dict[str, Resources]]] = []
+    demands: Dict[str, Resources] = {}
     p = 0
     for k, ids in hosted:
         granted: Dict[str, Resources] = {}
@@ -541,7 +541,7 @@ def step_range(system: MultiDCSystem, fleet: FleetState, t: int,
             required = Resources(d_cpu_l[p], d_mem_l[p], d_bw_l[p])
             given = Resources(g_cpu_l[p], g_mem_l[p], g_bw_l[p])
             granted[vm_id] = given
-            last_demands[vm_id] = required
+            demands[vm_id] = required
             if box:
                 vm_stats[vm_id] = VMIntervalStats(
                     vm_id=vm_id, pm_id=pms[k].pm_id,
@@ -555,10 +555,7 @@ def step_range(system: MultiDCSystem, fleet: FleetState, t: int,
                     sla=sla_l[p], blackout_fraction=frac_l[p],
                     queue_len=queue_l[p], revenue_eur=revenue_l[p])
             p += 1
-        # The joint grants respect capacity by construction (the allocator
-        # never hands out more than the host), so bypass regrant_all's
-        # re-validation and swap the mapping atomically.
-        pms[k].granted = granted
+        grants.append((pms[k], granted))
 
     pm_stats: Dict[str, PMIntervalStats] = {}
     if box:
@@ -576,7 +573,27 @@ def step_range(system: MultiDCSystem, fleet: FleetState, t: int,
     return RangeStep(placed=placed, rps=rps, sla=sla, revenue=revenue,
                      penalty_eur=penalty, on=on, watts=watts,
                      energy_wh=energy_wh, energy_cost=energy_cost,
-                     vms=vm_stats, pms=pm_stats)
+                     vms=vm_stats, pms=pm_stats,
+                     consumed=consumed, grants=grants, demands=demands)
+
+
+def write_steps(system: MultiDCSystem, parts: Sequence[RangeStep]) -> None:
+    """Write an interval's computed ranges back, in range order.
+
+    Call it once every range has computed: nothing here can fail, so an
+    interval's writes happen all together or not at all.
+    """
+    demands: Dict[str, Resources] = {}
+    for part in parts:
+        for vm_id in part.consumed:
+            del system._pending_blackout_s[vm_id]
+        # The joint grants respect capacity by construction (the
+        # allocator never hands out more than the host), so bypass
+        # regrant_all's re-validation and swap each mapping whole.
+        for pm, granted in part.grants:
+            pm.granted = granted
+        demands.update(part.demands)
+    system.last_demands = demands
 
 
 def unplaced_traced(fleet: FleetState,

@@ -1,19 +1,19 @@
-"""Streaming per-interval metrics: the ``MetricsSink`` seam.
+"""Per-interval KPI records, the run's one KPI reduction, and the sinks.
 
-Scenario runs historically accumulated every :class:`IntervalReport` in a
-:class:`~repro.sim.engine.RunHistory`, which keeps O(n_vms) boxed stats per
-interval alive for the whole run — at 50–100k VMs that is hundreds of MB and
-the binding constraint well before compute is.  A :class:`MetricsSink`
-receives one tiny :class:`IntervalMetrics` record per interval instead; the
-disk sinks (:class:`JsonlMetricsSink`, :class:`CsvMetricsSink`) append each
-record to a file as it arrives, so peak memory stays flat in horizon length.
+Every interval a run plays is reduced to one constant-size
+:class:`IntervalMetrics` record (:func:`metrics_of` for a full
+:class:`~repro.sim.multidc.IntervalReport`, or straight from the sharded
+kernel).  :func:`summarize` and :func:`kpi_series` are the only reduction
+of those records to the run's aggregate KPIs (:class:`RunSummary`, the
+paper's Table III columns) and per-interval series: a
+:class:`MetricsSink` applies them to the records it received and
+:class:`~repro.sim.engine.RunHistory` to the records of its reports, so
+a streamed run and an in-memory run cannot disagree.
 
-Every sink keeps the per-interval *scalar* KPI series in memory (8 floats per
-interval — negligible) and can therefore reproduce
-:meth:`RunHistory.summary` and the scenario engine's series dict exactly:
-the aggregation below performs the same operations in the same order as
-``RunHistory``, so a streamed run's KPI dict is bit-identical to the
-in-memory run's.
+A :class:`MetricsSink` keeps only the records (a dozen scalars per
+interval), never the O(n_vms) reports, so at 50–100k VMs peak memory
+stays flat in horizon length; the disk sinks (:class:`JsonlMetricsSink`,
+:class:`CsvMetricsSink`) also append each record to a file as it arrives.
 """
 
 from __future__ import annotations
@@ -21,15 +21,19 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.profit import ProfitBreakdown
 
 __all__ = [
+    "RunSummary",
     "IntervalMetrics",
     "metrics_of",
+    "summarize",
+    "SERIES_FIELDS",
+    "kpi_series",
     "MetricsSink",
     "InMemoryMetricsSink",
     "JsonlMetricsSink",
@@ -40,12 +44,38 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class RunSummary:
+    """Aggregates over a whole run (the paper's Table III columns)."""
+
+    n_intervals: int
+    hours: float
+    avg_sla: float
+    avg_watts: float
+    total_energy_wh: float
+    revenue_eur: float
+    migration_penalty_eur: float
+    energy_cost_eur: float
+    profit_eur: float
+    n_migrations: int
+    n_inter_dc_migrations: int
+
+    @property
+    def avg_eur_per_hour(self) -> float:
+        """Average net profit rate, EUR/h (Table III 'Avg Euro/h')."""
+        return self.profit_eur / self.hours if self.hours > 0 else 0.0
+
+    @property
+    def avg_revenue_per_hour(self) -> float:
+        return self.revenue_eur / self.hours if self.hours > 0 else 0.0
+
+
+@dataclass(frozen=True)
 class IntervalMetrics:
     """Constant-size per-interval KPI record (what the sinks stream).
 
-    Field values mirror :meth:`RunHistory.to_rows` exactly — a streamed
-    JSONL/CSV artifact row-for-row matches ``history.to_csv()`` output for
-    the same run.
+    :meth:`RunHistory.to_rows` is :meth:`to_row` of each report's record,
+    so a streamed JSONL/CSV artifact row-for-row matches
+    ``history.to_csv()`` output for the same run.
     """
 
     t: int
@@ -83,9 +113,9 @@ class IntervalMetrics:
 def metrics_of(report) -> IntervalMetrics:
     """Reduce an :class:`~repro.sim.multidc.IntervalReport` to its KPIs.
 
-    Reads exactly the report properties ``RunHistory`` reads, so feeding
-    ``metrics_of(report)`` to a sink is equivalent to appending the report
-    to a history — minus the O(n_vms) per-VM stats retention.
+    ``RunHistory`` reduces its reports through this same record, so
+    feeding ``metrics_of(report)`` to a sink is equivalent to appending
+    the report to a history — minus the O(n_vms) per-VM stats retention.
     """
     return IntervalMetrics(
         t=report.t,
@@ -104,6 +134,48 @@ def metrics_of(report) -> IntervalMetrics:
     )
 
 
+def summarize(metrics: Sequence[IntervalMetrics]) -> RunSummary:
+    """The run's aggregate KPIs from its interval records, in order."""
+    if not metrics:
+        return RunSummary(0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
+    total = ProfitBreakdown()
+    for x in metrics:
+        total = total + ProfitBreakdown(
+            revenue_eur=x.revenue_eur,
+            migration_penalty_eur=x.migration_penalty_eur,
+            energy_cost_eur=x.energy_cost_eur)
+    return RunSummary(
+        n_intervals=len(metrics),
+        hours=len(metrics) * metrics[0].interval_s / 3600.0,
+        avg_sla=float(np.mean(np.array([x.mean_sla for x in metrics],
+                                       dtype=float))),
+        avg_watts=float(np.mean(np.array([x.total_watts for x in metrics],
+                                         dtype=float))),
+        total_energy_wh=float(sum(x.total_energy_wh for x in metrics)),
+        revenue_eur=total.revenue_eur,
+        migration_penalty_eur=total.migration_penalty_eur,
+        energy_cost_eur=total.energy_cost_eur,
+        profit_eur=total.profit_eur,
+        n_migrations=int(sum(x.n_migrations for x in metrics)),
+        n_inter_dc_migrations=int(sum(x.n_inter_dc_migrations
+                                      for x in metrics)))
+
+
+#: Per-interval series key (as the scenario engine names it) -> the
+#: :class:`IntervalMetrics` field it holds.
+SERIES_FIELDS = {"sla": "mean_sla", "watts": "total_watts",
+                 "pms_on": "n_pms_on", "migrations": "n_migrations",
+                 "profit_eur": "profit_eur", "revenue_eur": "revenue_eur",
+                 "energy_cost_eur": "energy_cost_eur",
+                 "total_rps": "total_rps"}
+
+
+def kpi_series(metrics: Sequence[IntervalMetrics]) -> Dict[str, np.ndarray]:
+    """Per-interval KPI series, keyed like the scenario engine's."""
+    return {key: np.array([getattr(x, name) for x in metrics], dtype=float)
+            for key, name in SERIES_FIELDS.items()}
+
+
 class MetricsSink:
     """Receives one :class:`IntervalMetrics` per simulated interval.
 
@@ -112,10 +184,9 @@ class MetricsSink:
     - :meth:`on_metrics` is called once per interval, in chronological
       order, with a constant-size record; implementations must not retain
       O(n_vms) state.
-    - :meth:`summary` / :meth:`series` reproduce
-      :meth:`RunHistory.summary` / the engine's KPI series bit-for-bit for
-      the metrics seen so far (the base class keeps the scalar series and
-      performs the identical reduction).
+    - :meth:`summary` / :meth:`series` apply the one reduction
+      (:func:`summarize` / :func:`kpi_series`) to the metrics seen so
+      far, the same code :meth:`RunHistory.summary` runs.
     - :meth:`close` flushes and releases any resources; calling it twice
       is safe.
     """
@@ -142,47 +213,11 @@ class MetricsSink:
 
     def series(self) -> Dict[str, np.ndarray]:
         """Per-interval KPI series keyed like the scenario engine's."""
-        m = self._metrics
-        return {
-            "sla": np.array([x.mean_sla for x in m], dtype=float),
-            "watts": np.array([x.total_watts for x in m], dtype=float),
-            "pms_on": np.array([x.n_pms_on for x in m], dtype=float),
-            "migrations": np.array([x.n_migrations for x in m], dtype=float),
-            "profit_eur": np.array([x.profit_eur for x in m], dtype=float),
-            "revenue_eur": np.array([x.revenue_eur for x in m], dtype=float),
-            "energy_cost_eur": np.array([x.energy_cost_eur for x in m],
-                                        dtype=float),
-            "total_rps": np.array([x.total_rps for x in m], dtype=float),
-        }
+        return kpi_series(self._metrics)
 
-    def summary(self):
-        """Same reduction as :meth:`RunHistory.summary`, from the stream."""
-        from .engine import RunSummary  # deferred: engine imports this module
-        m = self._metrics
-        if not m:
-            return RunSummary(0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
-        hours = len(m) * self.interval_s / 3600.0
-        total = ProfitBreakdown()
-        for x in m:
-            total = total + ProfitBreakdown(
-                revenue_eur=x.revenue_eur,
-                migration_penalty_eur=x.migration_penalty_eur,
-                energy_cost_eur=x.energy_cost_eur)
-        return RunSummary(
-            n_intervals=len(m),
-            hours=hours,
-            avg_sla=float(np.mean(np.array([x.mean_sla for x in m],
-                                           dtype=float))),
-            avg_watts=float(np.mean(np.array([x.total_watts for x in m],
-                                             dtype=float))),
-            total_energy_wh=float(sum(x.total_energy_wh for x in m)),
-            revenue_eur=total.revenue_eur,
-            migration_penalty_eur=total.migration_penalty_eur,
-            energy_cost_eur=total.energy_cost_eur,
-            profit_eur=total.profit_eur,
-            n_migrations=int(sum(x.n_migrations for x in m)),
-            n_inter_dc_migrations=int(sum(x.n_inter_dc_migrations
-                                          for x in m)))
+    def summary(self) -> RunSummary:
+        """The run's aggregate KPIs over the metrics seen so far."""
+        return summarize(self._metrics)
 
     # -- context management ----------------------------------------------------
     def __enter__(self) -> "MetricsSink":

@@ -517,12 +517,11 @@ class MultiDCSystem:
         the two agree within 1e-9 on every :class:`IntervalReport` field.
         """
         from .fleet import (FleetState, step_range, unplaced_traced,
-                            unplaced_vm_stats)
+                            unplaced_vm_stats, write_steps)
         fleet = FleetState.for_system(self, trace)
-        last_demands: Dict[str, Resources] = {}
         part = step_range(self, fleet, t, trace.interval_s, 0,
-                          len(fleet.pms), last_demands, box=True)
-        self.last_demands = last_demands
+                          len(fleet.pms), box=True)
+        write_steps(self, [part])
         vm_stats = part.vms
         vm_stats.update(unplaced_vm_stats(
             self, fleet, t, unplaced_traced(fleet, [part.placed])))

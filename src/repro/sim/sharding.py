@@ -22,7 +22,9 @@ splits along DC boundaries into shards:
   horizon length.
 
 Both modes have the stepping side-effects schedulers depend on
-(``pm.granted`` swaps, ``system.last_demands``, blackout consumption).
+(``pm.granted`` swaps, ``system.last_demands``, blackout consumption),
+written by :func:`~repro.sim.fleet.write_steps` only after every shard
+has computed: a step that raises in any shard writes nothing.
 
 Cross-shard conservation laws (global KPIs equal the sum of shard KPIs; no
 VM in two shards) are checked by :mod:`repro.arena.invariants`; the
@@ -37,8 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .fleet import (FleetState, RangeStep, step_range, unplaced_traced,
-                    unplaced_vm_stats)
-from .machines import Resources
+                    unplaced_vm_stats, write_steps)
 from .metrics import IntervalMetrics
 from .multidc import (IntervalReport, MigrationEvent, MultiDCSystem,
                       PMIntervalStats, VMIntervalStats)
@@ -187,16 +188,15 @@ class ShardedFleet:
         return ShardedFleet.for_system(self.system, trace)
 
     def _step(self, trace: WorkloadTrace, t: int, box: bool):
-        """Play every shard through :func:`step_range` and record the
-        per-shard reductions; returns ``(parts, unplaced)``."""
-        system = self.system
+        """Play every shard through :func:`step_range`, write them back
+        together and record the per-shard reductions; returns
+        ``(parts, unplaced)``."""
         fleet = self.fleet
-        last_demands: Dict[str, Resources] = {}
         parts: List[RangeStep] = [
-            step_range(system, fleet, t, trace.interval_s, shard.lo,
-                       shard.hi, last_demands, box)
+            step_range(self.system, fleet, t, trace.interval_s, shard.lo,
+                       shard.hi, box)
             for shard in self.shards]
-        system.last_demands = last_demands
+        write_steps(self.system, parts)
         self.last_shard_metrics = [
             ShardMetrics(
                 location=shard.location, n_pms=shard.n_pms,

@@ -3,7 +3,7 @@
 The load-bearing contract: a warm session answers exactly what the
 offline pipeline answers — ``place`` matches a fresh
 ``SchedulingRound.best_fit(scope_vms=[vm])`` bit-for-bit and ``step``
-matches ``run_simulation`` interval-for-interval.  The server adds
+matches ``run_simulation`` interval-for-interval, on every report field.  The server adds
 residency, never drift.
 """
 
@@ -17,9 +17,28 @@ from repro.experiments.engine import REGISTRY
 from repro.service.state import (ModelRegistry, SessionStore,
                                  session_from_scenario)
 from repro.sim.engine import run_simulation
+from repro.sim.fleet import report_max_abs_diff
 
 SCENARIO = "quickstart"
 OVERRIDES = dict(n_intervals=8)
+
+
+def offline_history(stop):
+    """The offline run a served oracle session must reproduce."""
+    spec = REGISTRY.spec(SCENARIO, **OVERRIDES)
+    system, fleet_trace = spec.fleet.build()
+    trace = spec.workload.build(fleet_trace)
+    return run_simulation(
+        system, trace,
+        scheduler=make_bestfit_scheduler(OracleEstimator()), stop=stop)
+
+
+def assert_same_reports(served, offline):
+    """Every field of every interval report is equal, placement too."""
+    assert len(served) == len(offline)
+    for a, b in zip(served.reports, offline.reports):
+        assert a.placement == b.placement
+        assert report_max_abs_diff(a, b) == 0.0
 
 
 @pytest.fixture
@@ -109,19 +128,39 @@ class TestSessionStep:
                                         estimator="oracle", **OVERRIDES)
         reports = session.step(rounds=3)
         assert session.t == 3 and len(reports) == 3
-
-        spec = REGISTRY.spec(SCENARIO, **OVERRIDES)
-        system, fleet_trace = spec.fleet.build()
-        trace = spec.workload.build(fleet_trace)
-        history = run_simulation(
-            system, trace,
-            scheduler=make_bestfit_scheduler(OracleEstimator()), stop=3)
+        history = offline_history(stop=3)
+        assert_same_reports(session.history, history)
         for served, ref in zip(reports, history.reports):
-            assert served["t"] == ref.t
-            assert served["mean_sla"] == ref.mean_sla
-            assert served["total_watts"] == ref.total_watts
-            assert served["migrations"] == ref.n_migrations
-            assert served["profit_eur"] == ref.profit.profit_eur
+            assert served == {"t": ref.t, "mean_sla": ref.mean_sla,
+                              "total_watts": ref.total_watts,
+                              "pms_on": ref.n_pms_on,
+                              "migrations": ref.n_migrations,
+                              "profit_eur": ref.profit.profit_eur}
+
+    def test_place_between_steps_matches_run_simulation(self, registry):
+        """Queries warm the round each step then packs; the scenario has
+        no tariffs, so the warm round prices like a fresh one."""
+        session = session_from_scenario("served", SCENARIO, registry,
+                                        estimator="oracle", **OVERRIDES)
+        assert REGISTRY.spec(SCENARIO, **OVERRIDES).tariffs is None
+        vm_ids = sorted(session.system.vms)
+        for t in range(3):
+            with session.lock:
+                session.place(vm_ids[t::3])
+            session.step()
+        assert session.n_place_queries > 0
+        assert_same_reports(session.history, offline_history(stop=3))
+
+    def test_step_past_trace_end_plays_nothing(self, oracle_session):
+        session = oracle_session
+        n = session.trace.n_intervals
+        session.step(rounds=n - 1)
+        placement = session.system.placement()
+        with pytest.raises(IndexError, match="exhausted"):
+            session.step(rounds=2)
+        assert session.t == n - 1
+        assert len(session.history) == n - 1
+        assert session.system.placement() == placement
 
     def test_step_invalidates_round(self, oracle_session):
         session = oracle_session

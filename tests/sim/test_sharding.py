@@ -260,6 +260,54 @@ class TestStepMetricsParity:
         assert m.migration_penalty_eur > 0
 
 
+class TestFailedStepWritesNothing:
+    """A step that raises in the last DC leaves every DC as it was: no
+    DC's grants are swapped, no blackout is consumed and
+    ``last_demands`` keeps the previous interval's."""
+
+    @staticmethod
+    def poisoned():
+        (system, trace), _ = make_pair(T=3, seed=4)
+        deploy_round_robin(system)
+        system.step(trace, 0)
+        # A pending blackout in the first DC ...
+        first = system.datacenters[0].pms
+        system.apply_schedule({first[0].vm_ids[0]: first[1].pm_id})
+        assert system._pending_blackout_s
+        # ... and traffic from an unknown source on a VM in the last DC.
+        victim = system.datacenters[-1].pms[0].vm_ids[0]
+        trace.add(victim, "nowhere", SourceSeries(
+            rps=np.full(3, 5.0), bytes_per_req=np.full(3, 2000.0),
+            cpu_time_per_req=np.full(3, 0.01)))
+        return system, trace
+
+    @staticmethod
+    def state_of(system):
+        grants = {pm.pm_id: (pm.granted, dict(pm.granted))
+                  for dc in system.datacenters for pm in dc.pms}
+        return (grants, dict(system._pending_blackout_s),
+                system.last_demands, dict(system.last_demands))
+
+    def assert_unchanged(self, system, before):
+        grants, pending, demands, demands_copy = before
+        for dc in system.datacenters:
+            for pm in dc.pms:
+                mapping, copy = grants[pm.pm_id]
+                assert pm.granted is mapping and pm.granted == copy, pm.pm_id
+        assert system._pending_blackout_s == pending
+        assert system.last_demands is demands
+        assert system.last_demands == demands_copy
+
+    @pytest.mark.parametrize("mode", ["step_report", "step_metrics"])
+    def test_sharded_step_is_all_or_nothing(self, mode):
+        system, trace = self.poisoned()
+        before = self.state_of(system)
+        step = getattr(ShardedFleet.for_system(system, trace), mode)
+        with pytest.raises(KeyError, match="unknown location"):
+            step(trace, 1)
+        self.assert_unchanged(system, before)
+
+
 class TestScheduledRunsWithFailures:
     def run_pair(self, sharded):
         (system, trace), _ = make_pair(n_vms=16, T=6, seed=13)
